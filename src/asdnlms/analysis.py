@@ -134,15 +134,18 @@ def gated_dnlms_op_cost(M: int, nk: int, s_k: int) -> tuple[int, int]:
     return s_k * (3 * M + 4) + M * nk, s_k * (4 * M + 2) + M * nk - M + 1
 
 
-def op_cost_model(M: int, nk: int, s_k: int = 1, s_neighbors_sum: int | None = None,
-                  algorithm: str = "as_dnlms") -> tuple[int, int]:
-    """Per-node cost for one iteration under the named counting rule."""
-    if algorithm == "dnlms":
-        return dnlms_op_cost(M, nk)
-    if algorithm == "as_dnlms":
-        if s_neighbors_sum is None:
-            raise ValueError("as_dnlms cost needs the sampled-neighbor count")
-        return as_dnlms_op_cost(M, nk, s_k, s_neighbors_sum)
-    if algorithm == "gated_dnlms":
-        return gated_dnlms_op_cost(M, nk, s_k)
-    raise ValueError(f"unknown cost algorithm {algorithm!r}")
+def network_op_cost(M: int, deg, sampled, s_deg, mechanism: bool):
+    """Per-iteration (multiplications, additions) summed over the nodes.
+
+    ``deg`` holds each |N_k|; ``sampled`` is sum_k s_k and ``s_deg`` is
+    sum_k s_k |N_k|, as scalars or per-iteration arrays.  With the sampling
+    ``mechanism`` this is the sum of :func:`as_dnlms_op_cost`, whose
+    neighbor term sums to s_deg on a symmetric graph; without it, the sum of
+    :func:`gated_dnlms_op_cost`, plain dNLMS when every node samples.
+    """
+    V, D = deg.size, int(deg.sum())
+    mults = (3 * M + 4) * sampled + M * D
+    adds = (4 * M + 2) * sampled + M * D - M * V
+    if mechanism:
+        return mults + s_deg + 2 * V, adds + D + 2 * V
+    return mults, adds + V

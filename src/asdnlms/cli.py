@@ -21,6 +21,7 @@ from asdnlms import analysis
 from asdnlms.config import parse_config_file
 from asdnlms.harness import (
     ConfigError,
+    Materialized,
     MonteCarloResult,
     materialize,
     monte_carlo,
@@ -68,7 +69,7 @@ def _out_dir(explicit: str | None, fallback: str | None) -> Path:
     return Path(chosen)
 
 
-def _run_one(cfg, out_dir: Path) -> MonteCarloResult:
+def _run_one(cfg, out_dir: Path) -> tuple[MonteCarloResult, Materialized]:
     mat = materialize(cfg)
     result = monte_carlo(cfg, mat)
     name = cfg.name()
@@ -79,7 +80,7 @@ def _run_one(cfg, out_dir: Path) -> MonteCarloResult:
             f"{name}: steady[{window}] msd={summary['msd_db_smoothed']:.2f} dB "
             f"sampled={summary['sampled']:.2f} comms={summary['comms']:.1f}"
         )
-    return result
+    return result, mat
 
 
 def cmd_run(args) -> int:
@@ -101,9 +102,9 @@ def cmd_preset(args) -> int:
 
     bounds_rows = []
     for cfg in configs:
-        result = _run_one(cfg, out_dir)
+        result, mat = _run_one(cfg, out_dir)
         if args.name == "fig_beta_sweep":
-            env = materialize(cfg).env
+            env = mat.env
             beta = cfg.policy.beta
             lo, hi = analysis.sampled_node_bounds(env.V, beta, env.sigma2_min, env.sigma2_max)
             bounds_rows.append(

@@ -6,8 +6,9 @@ A realization executes the synchronous round loop
     -> combine -> refresh squared-error caches -> update alpha
 
 for the configured number of iterations, recording per-iteration network
-MSD, sampled-node count, communication count and the operation-cost model.
-Realizations are independent; aggregation is an element-wise mean.
+MSD, sampled nodes and communications; the operation counts follow from the
+sampled nodes through the :mod:`analysis` cost model.  Realizations are
+independent; aggregation is an element-wise mean.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -23,12 +24,7 @@ import numpy as np
 from asdnlms import analysis
 from asdnlms.diffusion import SIGMA2_FLOOR
 from asdnlms.network import Topology, build_random_geometric, load_edge_list, uniform_weights
-from asdnlms.sampling import (
-    AS_KINDS,
-    PolicyConfig,
-    draw_active_links,
-    draw_sampled_set,
-)
+from asdnlms.sampling import AS_KINDS, PolicyConfig, draw_active_links, draw_sampled_set
 from asdnlms.signals import (
     ROLE_POLICY,
     Environment,
@@ -126,8 +122,7 @@ def validate_config(cfg: RunConfig) -> None:
 
 def _node_count(cfg: RunConfig) -> int:
     if cfg.topology.kind == "edge_list":
-        head = Path(cfg.topology.edge_list).read_text().split(None, 1)[0]
-        return int(head)
+        return load_edge_list(cfg.topology.edge_list).node_count
     return cfg.topology.V
 
 
@@ -199,16 +194,6 @@ def to_db(x: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(x, dtype=float), 1e-300))
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    n: int
-    msd: float
-    sampled_count: int
-    communications: int
-    mults: int
-    adds: int
-
-
 @dataclass
 class RunSeries:
     """Array-backed per-iteration record series for one realization."""
@@ -218,21 +203,11 @@ class RunSeries:
     comms: np.ndarray
     mults: np.ndarray
     adds: np.ndarray
-    sampled_bitmap: np.ndarray | None = None
+    sampled_bitmap: np.ndarray  # (T, V) bool: which nodes sampled at each iteration
     states: np.ndarray | None = None  # (T, V, M) combined estimates; debug runs only
 
     def __len__(self) -> int:
         return self.msd.size
-
-    def record(self, n: int) -> IterationRecord:
-        return IterationRecord(
-            n=n,
-            msd=float(self.msd[n]),
-            sampled_count=int(self.sampled[n]),
-            communications=int(self.comms[n]),
-            mults=int(self.mults[n]),
-            adds=int(self.adds[n]),
-        )
 
 
 # --- realization engine ------------------------------------------------------
@@ -242,10 +217,19 @@ def run_realization(
     cfg: RunConfig,
     realization: int,
     mat: Materialized | None = None,
-    record_sampled: bool = False,
     record_states: bool = False,
 ) -> RunSeries:
     """Run one seeded realization of the configured policy.
+
+    A policy is data fixed before the loop: its edge set (self-loops only
+    for ``non_cooperative``), its sampler (alpha >= 0 for the adaptive
+    kinds, a random V_s draw, or every node) and its transmit rule.  Per
+    node, a node transmits iff it samples (``as_censoring``) or always, and
+    every node combines the last psi each neighbor transmitted, its own
+    included.  Per link (``probabilistic_transmission``), each directed
+    link carries psi with probability p into an edge cache.  A link
+    communication is one active directed link; a broadcast is one node
+    that reaches at least one neighbor.
 
     Deterministic: identical (cfg, realization) always produce identical
     series.  ``mat`` may be passed to share the materialized network across
@@ -256,62 +240,50 @@ def run_realization(
         mat = materialize(cfg)
     top, env, mu_tilde = mat.topology, mat.env, mat.mu_tilde
     pol = cfg.policy
-    kind = pol.kind
     V, M, T = top.node_count, env.M, cfg.iterations
 
     inputs, noises = draw_signal_blocks(env, cfg.seed, realization, T)
     policy_rng = stream_rng(cfg.seed, realization, 0, ROLE_POLICY)
 
-    deg = top.degrees()
-    out_deg = deg - 1
-    src_e, dst_e = top.edge_arrays()
+    if pol.kind == "non_cooperative":  # the self-loop-only graph
+        src_e = dst_e = np.arange(V)
+        C = np.eye(V)
+    else:
+        src_e, dst_e = top.edge_arrays()
+        C = uniform_weights(top)
+    deg = np.bincount(dst_e, minlength=V)
+    seg_start = np.cumsum(deg) - deg  # edges are grouped by receiver
     noself = src_e != dst_e
-    src_ns, dst_ns = src_e[noself], dst_e[noself]
-    A = top.adjacency().astype(float)
+    src_ns = src_e[noself]
+
+    adaptive = pol.kind in AS_KINDS
+    random_subset = pol.kind == "random_sampling"
+    per_link = pol.kind == "probabilistic_transmission"
+    always_tx = pol.kind != "as_censoring"
+    by_link = cfg.comm_unit == "link"
 
     w_opt = env.w_opt.copy()
     flip_at = env.flip_iteration
-
-    W = np.zeros((V, M))
-    PSI = np.zeros((V, M))
-    U = np.zeros((V, M))
-    S2e = np.ones(src_e.size)
-    if kind == "non_cooperative":
-        C = np.eye(V)
-    else:
-        C = uniform_weights(top)
     nu = cfg.env.nu
     delta = cfg.env.delta
 
-    adaptive = kind in AS_KINDS
+    W = np.zeros((V, M))
+    U = np.zeros((V, M))
+    X = np.zeros((V, M))  # per node: the last psi each node transmitted
+    cache = np.zeros((src_e.size, M))  # per link: psi_src as last received at dst
+    fresh = ~noself  # per link: the self link is always fresh
+    S2e = np.ones(src_e.size)
+    s = np.ones(V, dtype=bool)  # kept by the samplers that take every node
     if adaptive:
         alpha = np.full(V, pol.alpha_plus)
         eps2 = np.zeros(V)
         # phi'(alpha) inlined below; alpha stays clamped so exp() cannot overflow
         sgm_span = 1.0 / (1.0 + np.exp(-pol.alpha_plus)) - 1.0 / (1.0 + np.exp(pol.alpha_plus))
-    cache = None
-    if kind == "probabilistic_transmission":
-        cache = np.zeros((V, V, M))  # cache[k, j] = psi_j as last received at k
 
-    ones_v = np.ones(V, dtype=np.int64)
     msd = np.empty(T)
-    sampled = np.empty(T, dtype=np.int64)
     comms = np.empty(T, dtype=np.int64)
-    mults = np.empty(T, dtype=np.int64)
-    adds = np.empty(T, dtype=np.int64)
-    bitmap = np.empty((T, V), dtype=bool) if record_sampled else None
+    bitmap = np.empty((T, V), dtype=bool)
     states = np.empty((T, V, M)) if record_states else None
-
-    # Constant cost/communication terms (see the counting notes at the end
-    # of this function).
-    D = int(deg.sum())
-    if kind in ("full", "probabilistic_transmission"):
-        const_cost = (M * (3 + deg) + 4).sum(), (M * (3 + deg) + 3).sum()
-    elif kind == "non_cooperative":
-        const_cost = V * (4 * M + 4), V * (4 * M + 3)
-    else:
-        const_cost = None
-    link_total = D - V  # every node to every neighbor but itself
 
     for n in range(T):
         if flip_at is not None and n == flip_at:
@@ -319,12 +291,10 @@ def run_realization(
 
         # decide
         if adaptive:
-            s = (alpha >= 0).astype(np.int64)
-        elif kind == "random_sampling":
-            s = draw_sampled_set(pol, V, policy_rng)
-        else:
-            s = ones_v
-        s_col = (s == 1)[:, None]
+            s = alpha >= 0
+        elif random_subset:
+            s = draw_sampled_set(pol, V, policy_rng).astype(bool)
+        s_col = s[:, None]
 
         # streaming data
         U[:, 1:] = U[:, :-1]
@@ -334,49 +304,42 @@ def run_realization(
         # adapt
         e = d - np.einsum("vm,vm->v", U, W)
         mu = mu_tilde / (delta + np.einsum("vm,vm->v", U, U))
-        step = (s * mu * e)[:, None] * U
-        if kind == "as_censoring":
-            PSI = np.where(s_col, W + step, PSI)
-        else:
-            PSI = np.where(s_col, W + step, W)
+        PSI = np.where(s_col, W + (mu * e)[:, None] * U, W)
 
-        # transmit / cache
-        if kind == "probabilistic_transmission":
-            act = draw_active_links(pol.p, src_ns, policy_rng)
-            cache[dst_ns[act], src_ns[act]] = PSI[src_ns[act]]
-            cache[np.arange(V), np.arange(V)] = PSI
-            comm_n = int(act.sum()) if cfg.comm_unit == "link" else int(
-                np.unique(src_ns[act]).size
-            )
-        elif kind == "non_cooperative":
-            comm_n = 0
-        elif kind == "as_censoring":
-            comm_n = int((s * out_deg).sum()) if cfg.comm_unit == "link" else int(s.sum())
+        # transmit
+        if per_link:
+            links = draw_active_links(pol.p, src_ns, policy_rng)
+            fresh[noself] = links
+            cache[fresh] = PSI[src_e[fresh]]
+            recv = cache
         else:
-            comm_n = link_total if cfg.comm_unit == "link" else V
+            tx = s | always_tx
+            np.copyto(X, PSI, where=tx[:, None])
+            links = tx[src_ns]
+            recv = X[src_e]
+        if by_link:
+            comms[n] = np.count_nonzero(links)
+        else:
+            comms[n] = np.count_nonzero(np.bincount(src_ns[links], minlength=V))
 
         # ACW update for sampled nodes (weights of unsampled nodes stay stale)
-        if kind != "non_cooperative":
-            recv = cache[dst_e, src_e] if cache is not None else PSI[src_e]
-            diff = recv - W[dst_e]
-            d2 = np.einsum("em,em->e", diff, diff)
-            upd = s[dst_e].astype(bool)
-            S2e[upd] = np.maximum((1.0 - nu) * S2e[upd] + nu * d2[upd], SIGMA2_FLOOR)
-            inv = 1.0 / S2e
-            colsum = np.bincount(dst_e, weights=inv, minlength=V)
-            C[src_e[upd], dst_e[upd]] = (inv / colsum[dst_e])[upd]
+        diff = recv - W[dst_e]
+        d2 = np.einsum("em,em->e", diff, diff)
+        upd = s[dst_e]
+        S2e[upd] = np.maximum((1.0 - nu) * S2e[upd] + nu * d2[upd], SIGMA2_FLOOR)
+        inv = 1.0 / S2e
+        colsum = np.bincount(dst_e, weights=inv, minlength=V)
+        C[src_e[upd], dst_e[upd]] = (inv / colsum[dst_e])[upd]
 
         # combine
-        if kind == "probabilistic_transmission":
-            W = np.einsum("jk,kjm->km", C, cache)
-        elif kind == "non_cooperative":
-            W = PSI.copy()
+        if per_link:
+            W = np.add.reduceat(C[src_e, dst_e][:, None] * cache, seg_start)
         else:
-            W = C.T @ PSI
+            W = C.T @ X
 
         # squared-error caches and alpha
         if adaptive:
-            eps2 = np.where(s == 1, e * e, eps2)
+            eps2 = np.where(s, e * e, eps2)
             q = C.T @ eps2
             sg = 1.0 / (1.0 + np.exp(-alpha))
             pp = sg * (1.0 - sg) / sgm_span
@@ -389,31 +352,13 @@ def run_realization(
         # metrics
         dev = w_opt[None, :] - W
         msd[n] = np.einsum("vm,vm->", dev, dev) / V
-        S = int(s.sum())
-        sampled[n] = S
-        comms[n] = comm_n
-        if bitmap is not None:
-            bitmap[n] = s.astype(bool)
+        bitmap[n] = s
         if states is not None:
             states[n] = W
 
-        # Operation counters follow the per-node cost model evaluated on the
-        # current sampling states: the adapt terms are gated by s_k, the
-        # combine term M*|N_k| is always paid, and the adaptive kinds add
-        # the mechanism overhead (one term per sampled neighbor, plus the
-        # step-size/gradient products).  Summed over k,
-        # sum_k sum_{i in N_k} s_i = s . deg because the adjacency
-        # (self included) is symmetric.
-        if const_cost is not None:
-            mults[n], adds[n] = const_cost
-        elif adaptive:
-            ssum_total = int(s @ deg)
-            mults[n] = (3 * M + 4) * S + M * D + ssum_total + 2 * V
-            adds[n] = (4 * M + 2) * S + M * D - M * V + D + 2 * V
-        else:  # random_sampling
-            mults[n] = (3 * M + 4) * S + M * D
-            adds[n] = (4 * M + 2) * S + M * D - M * V + V
-
+    sampled = np.count_nonzero(bitmap, axis=1)
+    mults, adds = analysis.network_op_cost(
+        M, deg, sampled, np.einsum("tv,v->t", bitmap, deg), adaptive)
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)
 
@@ -528,7 +473,8 @@ def build_manifest(cfg: RunConfig, mat: Materialized, steady: dict) -> dict:
     m["drawn.sigma2_v_min"] = env.sigma2_min
     m["drawn.sigma2_v_max"] = env.sigma2_max
 
-    if cfg.policy.kind in AS_KINDS and cfg.policy.beta >= env.sigma2_max:
+    # the bounds are defined only for an admissible beta and a noisy profile
+    if cfg.policy.kind in AS_KINDS and cfg.policy.beta >= env.sigma2_max and env.sigma2_min > 0:
         pred = analysis.predict(top.node_count, cfg.policy.beta, env.sigma2_min, env.sigma2_max)
         m["predicted.Vs_lower"] = pred.Vs_lower
         m["predicted.Vs_upper"] = pred.Vs_upper
@@ -566,13 +512,8 @@ def write_csv(result: MonteCarloResult, path: str | Path) -> None:
             result.adds,
         ]
     )
-    with path.open("w") as f:
-        f.write(CSV_HEADER + "\n")
-        for row in cols:
-            f.write(
-                f"{int(row[0])},{row[1]:.6f},{row[2]:.6f},{row[3]:.6g},"
-                f"{row[4]:.6g},{row[5]:.6g},{row[6]:.6g}\n"
-            )
+    np.savetxt(path, cols, fmt="%d,%.6f,%.6f,%.6g,%.6g,%.6g,%.6g", header=CSV_HEADER,
+               comments="")
 
 
 def write_manifest(manifest: dict, path: str | Path) -> None:
@@ -584,8 +525,6 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
 
 def write_sampled_bitmap(series: RunSeries, path: str | Path) -> None:
     """Diagnostic stream: one line per iteration, one 0/1 per node."""
-    if series.sampled_bitmap is None:
-        raise ValueError("run the realization with record_sampled=True")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:

@@ -9,8 +9,6 @@ iterations.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from asdnlms.harness import EnvSpec, RunConfig, TopologySpec
 from asdnlms.sampling import PolicyConfig
 
@@ -109,7 +107,3 @@ def expand_preset(
         ]
 
     raise AssertionError(name)
-
-
-def with_realizations(configs: list[RunConfig], realizations: int) -> list[RunConfig]:
-    return [replace(c, realizations=realizations) for c in configs]

@@ -167,20 +167,6 @@ def draw_sampled_set(policy: PolicyConfig, V: int, rng: np.random.Generator) -> 
     raise ValueError(f"policy {policy.kind!r} decides sampling adaptively")
 
 
-def transmitting_mask(kind: str, s_bar: np.ndarray) -> np.ndarray:
-    """Which nodes broadcast their intermediate estimate this iteration.
-
-    Censoring turns the transmitter of every unsampled node off; the plain
-    sampling variant still transmits (psi changes even when unsampled).
-    """
-    s_bar = np.asarray(s_bar)
-    if kind == "as_censoring":
-        return s_bar.astype(bool)
-    if kind == "non_cooperative":
-        return np.zeros_like(s_bar, dtype=bool)
-    return np.ones_like(s_bar, dtype=bool)
-
-
 def draw_active_links(
     p, src: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:

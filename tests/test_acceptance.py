@@ -175,7 +175,7 @@ def test_c5_cost_accounting():
     one in steady state with mixed sampling)."""
     cfg = _config("as_sampling", flip=False, realizations=1)
     mat = materialize(cfg)
-    series = run_realization(cfg, 0, mat, record_sampled=True)
+    series = run_realization(cfg, 0, mat)
     deg = mat.topology.degrees()
     A = mat.topology.adjacency()
 

@@ -1,6 +1,7 @@
 import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from asdnlms.analysis import (
     dnlms_op_cost,
     duty_cycle_estimate,
     gated_dnlms_op_cost,
-    op_cost_model,
+    network_op_cost,
     predict,
     sampled_node_bounds,
     theta_bounds,
@@ -162,13 +163,22 @@ class TestOpCostModel:
         for M, nk in ((50, 4), (8, 3), (1, 1)):
             assert gated_dnlms_op_cost(M, nk, 1) == dnlms_op_cost(M, nk)
 
-    def test_dispatcher(self):
-        assert op_cost_model(50, 4, algorithm="dnlms") == (354, 353)
-        assert op_cost_model(50, 4, 1, 4, algorithm="as_dnlms") == (360, 358)
-        with pytest.raises(ValueError):
-            op_cost_model(50, 4, algorithm="as_dnlms")
-        with pytest.raises(ValueError):
-            op_cost_model(50, 4, algorithm="mystery")
+    @settings(max_examples=100, deadline=None)
+    @given(M=st.integers(1, 100), V=st.integers(1, 12), data=st.data())
+    def test_network_sum_matches_per_node_model(self, M, V, data):
+        # symmetric graph with self-loops, arbitrary sampling states
+        A = np.eye(V, dtype=bool)
+        for i in range(V):
+            for j in range(i + 1, V):
+                A[i, j] = A[j, i] = data.draw(st.booleans())
+        s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=V, max_size=V)))
+        deg = A.sum(axis=0)
+        S, s_deg = int(s.sum()), int(s @ deg)
+        as_sum = [as_dnlms_op_cost(M, int(deg[k]), int(s[k]), int(s[A[:, k]].sum()))
+                  for k in range(V)]
+        gated_sum = [gated_dnlms_op_cost(M, int(deg[k]), int(s[k])) for k in range(V)]
+        assert network_op_cost(M, deg, S, s_deg, True) == tuple(map(sum, zip(*as_sum)))
+        assert network_op_cost(M, deg, S, s_deg, False) == tuple(map(sum, zip(*gated_sum)))
 
 
 class TestPredict:

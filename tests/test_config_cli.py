@@ -3,6 +3,7 @@ import pytest
 
 from asdnlms.cli import main
 from asdnlms.config import ConfigError, format_config, parse_config_file, parse_config_text
+from asdnlms.harness import materialize
 from asdnlms.presets import BETA_RATIOS, PRESET_NAMES, expand_preset
 from conftest import make_config
 
@@ -135,6 +136,34 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_validate_rejects_empty_edge_list(self, tmp_path, capsys):
+        edges = tmp_path / "empty.edges"
+        edges.write_text("")
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG.replace("topology.kind = random_geometric",
+                                            f"topology.kind = edge_list\ntopology.edge_list = {edges}"))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "empty edge-list" in capsys.readouterr().err
+
+    def test_validate_rejects_disconnected_edge_list(self, tmp_path, capsys):
+        edges = tmp_path / "split.edges"
+        edges.write_text("6\n0 1\n1 2\n3 4\n4 5\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG.replace("topology.kind = random_geometric",
+                                            f"topology.kind = edge_list\ntopology.edge_list = {edges}"))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "not connected" in capsys.readouterr().err
+
+    def test_zero_noise_run_omits_bounds(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG + "env.sigma2_v = 0.1,0.0,0.3,0.4,0.2,0.1\n")
+        out = tmp_path / "results"
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        manifest = (out / "as_sampling.manifest.txt").read_text()
+        assert "steady.pre.sampled" in manifest
+        assert "predicted." not in manifest
+
     def test_run_missing_config(self, capsys):
         assert main(["run", "--config", "missing.cfg"]) == 1
         assert "not found" in capsys.readouterr().err
@@ -192,6 +221,22 @@ class TestCli:
         bounds = (out / "bounds.csv").read_text().splitlines()
         assert bounds[0] == "beta_ratio,beta,vs_lower,vs_upper,measured_steady_sampled"
         assert len(bounds) == 1 + len(BETA_RATIOS)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_materializes_each_variant_once(self, name, tmp_path, monkeypatch):
+        import asdnlms.cli as cli
+
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.name())
+            return materialize(cfg)
+
+        monkeypatch.setattr(cli, "materialize", counting)
+        rc = main(["preset", name, "--seed", "3", "--realizations", "1",
+                   "--iterations", "60", "--out", str(tmp_path)])
+        assert rc == 0
+        assert sorted(calls) == sorted(c.name() for c in expand_preset(name))
 
     def test_unwritable_out_dir_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

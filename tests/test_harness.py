@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from asdnlms.harness import (
     write_csv,
     write_manifest,
 )
-from asdnlms.sampling import AS_KINDS, SamplerState, draw_sampled_set
+from asdnlms.sampling import AS_KINDS, SamplerState, draw_active_links, draw_sampled_set
 from asdnlms.signals import ROLE_POLICY, draw_signal_blocks, stream_rng
 from conftest import make_config
 
@@ -104,12 +106,17 @@ class TestDeterminism:
 
 class TestPolicyEquivalences:
     def test_pt_with_p_one_matches_full(self):
-        cfg_full = make_config(kind="full", V=6, M=5, iterations=200, seed=4)
-        cfg_pt = make_config(kind="probabilistic_transmission", V=6, M=5, iterations=200,
-                             seed=4, p=1.0)
-        a = run_realization(cfg_full, 0, materialize(cfg_full))
-        b = run_realization(cfg_pt, 0, materialize(cfg_pt))
-        assert a.msd == pytest.approx(b.msd, rel=1e-9, abs=1e-12)
+        # one node too: a lone node has no neighbor to reach under any policy
+        for V, unit in ((6, "link"), (6, "broadcast"), (1, "link"), (1, "broadcast")):
+            cfg_full = replace(make_config(kind="full", V=V, M=5, iterations=200, seed=4),
+                               comm_unit=unit)
+            cfg_pt = replace(make_config(kind="probabilistic_transmission", V=V, M=5,
+                                         iterations=200, seed=4, p=1.0), comm_unit=unit)
+            a = run_realization(cfg_full, 0, materialize(cfg_full))
+            b = run_realization(cfg_pt, 0, materialize(cfg_pt))
+            assert a.msd == pytest.approx(b.msd, rel=1e-9, abs=1e-12)
+            assert np.array_equal(a.comms, b.comms)
+            assert a.comms.any() == (V > 1)
 
     def test_pt_with_p_zero_never_transmits(self):
         cfg = make_config(kind="probabilistic_transmission", V=6, M=5, iterations=100,
@@ -126,7 +133,7 @@ class TestPolicyEquivalences:
         # while every node samples (transient), censoring transmits like full dNLMS
         cfg = make_config(kind="as_censoring", V=8, M=20, iterations=30, seed=9)
         mat = materialize(cfg)
-        series = run_realization(cfg, 0, mat, record_sampled=True)
+        series = run_realization(cfg, 0, mat)
         assert series.sampled_bitmap[:10].all()
         full_t = int((mat.topology.degrees() - 1).sum())
         assert np.all(series.comms[:10] == full_t)
@@ -143,17 +150,15 @@ class TestCommAccounting:
     def test_censoring_counts_sampled_out_degrees(self):
         cfg = make_config(kind="as_censoring", V=7, M=4, iterations=400, seed=2)
         mat = materialize(cfg)
-        series = run_realization(cfg, 0, mat, record_sampled=True)
+        series = run_realization(cfg, 0, mat)
         out_deg = mat.topology.degrees() - 1
         expected = series.sampled_bitmap @ out_deg
         assert np.array_equal(series.comms, expected)
 
     def test_broadcast_unit(self):
-        from dataclasses import replace
-
         cfg = replace(make_config(kind="as_censoring", V=7, M=4, iterations=300, seed=2),
                       comm_unit="broadcast")
-        series = run_realization(cfg, 0, materialize(cfg), record_sampled=True)
+        series = run_realization(cfg, 0, materialize(cfg))
         assert np.array_equal(series.comms, series.sampled_bitmap.sum(axis=1))
 
 
@@ -161,7 +166,7 @@ class TestCostAccounting:
     def test_as_sampling_matches_model_exactly(self):
         cfg = make_config(kind="as_sampling", V=8, M=10, iterations=300, seed=6)
         mat = materialize(cfg)
-        series = run_realization(cfg, 0, mat, record_sampled=True)
+        series = run_realization(cfg, 0, mat)
         deg = mat.topology.degrees()
         A = mat.topology.adjacency()
         M = cfg.env.M
@@ -179,7 +184,7 @@ class TestCostAccounting:
     def test_random_sampling_matches_gated_model(self):
         cfg = make_config(kind="random_sampling", V=8, M=10, iterations=100, seed=6, V_s=3)
         mat = materialize(cfg)
-        series = run_realization(cfg, 0, mat, record_sampled=True)
+        series = run_realization(cfg, 0, mat)
         deg = mat.topology.degrees()
         for n in range(0, 100, 11):
             s = series.sampled_bitmap[n].astype(int)
@@ -202,7 +207,15 @@ def reference_run(cfg, realization, mat):
     pol = cfg.policy
     kind = pol.kind
     V, M, T = top.node_count, env.M, cfg.iterations
-    neighbors = top.neighbors
+    if kind == "non_cooperative":
+        neighbors = tuple((k,) for k in range(V))
+    else:
+        neighbors = top.neighbors
+    src_e, dst_e = top.edge_arrays()
+    noself = src_e != dst_e
+    links = list(zip(src_e[noself], dst_e[noself]))
+    # cache[k][j]: psi_j as last received at k; the self link is always fresh
+    cache = [{j: np.zeros(M) for j in neighbors[k]} for k in range(V)]
     inputs, noises = draw_signal_blocks(env, cfg.seed, realization, T)
     policy_rng = stream_rng(cfg.seed, realization, 0, ROLE_POLICY)
 
@@ -247,11 +260,21 @@ def reference_run(cfg, realization, mat):
                 adapt(ests[k], delay[k], None, 0)
             # censoring: psi untouched while idle
 
-        psis = {k: ests[k].psi for k in range(V)}
+        if kind == "probabilistic_transmission":
+            act = draw_active_links(pol.p, src_e[noself], policy_rng)
+            for (j, k), on in zip(links, act):
+                if on:
+                    cache[k][j] = ests[j].psi
+            for k in range(V):
+                cache[k][k] = ests[k].psi
+        else:
+            for k in range(V):
+                for j in neighbors[k]:
+                    cache[k][j] = ests[j].psi
         for k in range(V):
             if s[k]:
-                weights[k] = acw_update(ests[k], {j: psis[j] for j in neighbors[k]})
-        new_w = [combine({j: psis[j] for j in neighbors[k]}, weights[k]) for k in range(V)]
+                weights[k] = acw_update(ests[k], cache[k])
+        new_w = [combine(cache[k], weights[k]) for k in range(V)]
         for k in range(V):
             ests[k].w = new_w[k]
 
@@ -272,14 +295,15 @@ def reference_run(cfg, realization, mat):
 
 
 class TestEngineMatchesPerNodeReference:
-    @pytest.mark.parametrize("kind", ["full", "as_sampling", "as_censoring", "random_sampling"])
+    @pytest.mark.parametrize("kind", ["full", "as_sampling", "as_censoring", "random_sampling",
+                                      "probabilistic_transmission", "non_cooperative"])
     def test_trajectories_agree(self, kind):
         cfg = make_config(kind=kind, V=6, M=4, iterations=120, seed=31,
                           **({"V_s": 3} if kind == "random_sampling" else {}))
         mat = materialize(cfg)
         W_ref, s_ref, alpha_ref = reference_run(cfg, 0, mat)
 
-        series = run_realization(cfg, 0, mat, record_sampled=True, record_states=True)
+        series = run_realization(cfg, 0, mat, record_states=True)
         assert np.array_equal(series.sampled_bitmap.astype(int), s_ref)
         assert series.states == pytest.approx(W_ref, rel=1e-8, abs=1e-12)
 
@@ -322,8 +346,6 @@ class TestMonteCarlo:
         assert m["run.seed"] == 3
 
     def test_validate_config_rejects(self):
-        from dataclasses import replace
-
         good = make_config(kind="full", V=6, M=5, iterations=100)
         validate_config(good)
         with pytest.raises(ConfigError):
@@ -344,6 +366,7 @@ class TestOutputFiles:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "n,msd_db,msd_db_smoothed,sampled,comms,mults,adds"
         assert len(lines) == 51
+        assert lines[2] == "1,3.171451,3.395178,6,28,330,318"
         man_path = tmp_path / "out.manifest.txt"
         write_manifest(res.manifest, man_path)
         text = man_path.read_text()
@@ -357,14 +380,10 @@ class TestOutputFiles:
         from asdnlms.harness import write_sampled_bitmap
 
         cfg = make_config(kind="as_sampling", V=5, M=4, iterations=30, seed=3)
-        series = run_realization(cfg, 0, materialize(cfg), record_sampled=True)
+        series = run_realization(cfg, 0, materialize(cfg))
         path = tmp_path / "sampled.txt"
         write_sampled_bitmap(series, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 30
         assert set("".join(lines)) <= {"0", "1"}
         assert lines[0] == "11111"  # everyone starts sampled
-
-        plain = run_realization(cfg, 0, materialize(cfg))
-        with pytest.raises(ValueError, match="record_sampled"):
-            write_sampled_bitmap(plain, path)

@@ -12,7 +12,6 @@ from asdnlms.sampling import (
     draw_sampled_set,
     phi,
     phi_prime,
-    transmitting_mask,
     update_alpha_value,
 )
 from conftest import make_config
@@ -195,16 +194,6 @@ class TestBaselines:
         assert not draw_active_links(0.0, src, rng).any()
         assert draw_active_links(1.0, src, rng).all()
 
-    def test_transmitting_mask(self):
-        s = np.array([1, 0, 1, 0])
-        assert np.array_equal(transmitting_mask("as_censoring", s), [True, False, True, False])
-        assert np.array_equal(transmitting_mask("as_sampling", s), [True] * 4)
-        assert np.array_equal(transmitting_mask("non_cooperative", s), [False] * 4)
-
-    def test_censoring_zero_sampled_zero_transmissions(self):
-        s = np.zeros(5, dtype=int)
-        assert not transmitting_mask("as_censoring", s).any()
-
 
 class TestCycleStructure:
     def test_no_absorbing_states_in_steady_state(self):
@@ -213,7 +202,7 @@ class TestCycleStructure:
             kind="as_sampling", V=20, M=50, iterations=20_000, radius=0.35, seed=1
         )
         mat = materialize(cfg)
-        series = run_realization(cfg, 0, mat, record_sampled=True)
+        series = run_realization(cfg, 0, mat)
         window = series.sampled_bitmap[10_000:]
         frac = window.mean(axis=0)
         assert np.all(frac > 0.0), "some node never sampled in steady state"

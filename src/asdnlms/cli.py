@@ -6,8 +6,10 @@ Subcommands:
     predict   print the closed-form steady-state bounds
     validate  check a config file without running it
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.  The
-ASDNLMS_OUT environment variable overrides the output directory.
+Exit codes: 0 success, 1 configuration error, 2 runtime error (an I/O
+failure, or a realization whose network MSD stopped being finite; no CSV is
+written then).  The ASDNLMS_OUT environment variable overrides the output
+directory.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from asdnlms.harness import (
     ConfigError,
     Materialized,
     MonteCarloResult,
+    NonFiniteStateError,
     materialize,
     monte_carlo,
     validate_config,
@@ -155,7 +158,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

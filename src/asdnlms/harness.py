@@ -8,7 +8,9 @@ A realization executes the synchronous round loop
 for the configured number of iterations, recording per-iteration network
 MSD, sampled nodes and communications; the operation counts follow from the
 sampled nodes through the :mod:`analysis` cost model.  Realizations are
-independent; aggregation is an element-wise mean.
+independent: a campaign runs them in batches of CHUNK, one loop over
+(B, V, M) arrays, and aggregation is an element-wise mean in realization
+order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -16,19 +18,26 @@ policies see identical signal streams — paired comparisons stay paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from asdnlms import analysis
 from asdnlms.diffusion import SIGMA2_FLOOR
-from asdnlms.network import Topology, build_random_geometric, load_edge_list, uniform_weights
+from asdnlms.network import (
+    Topology,
+    build_random_geometric,
+    load_edge_list,
+    uniform_weights,  # noqa: F401  (unused; perfbench/run.py traces it here)
+)
 from asdnlms.sampling import AS_KINDS, PolicyConfig, draw_active_links, draw_sampled_set
 from asdnlms.signals import (
     ROLE_POLICY,
     Environment,
     draw_signal_blocks,
+    signal_streams,
     stream_rng,
 )
 
@@ -79,7 +88,19 @@ class RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Reject configurations the engine would not run correctly."""
+    """Reject configurations the engine would not run correctly.
+
+    An edge-list topology is loaded, so a file that does not make a
+    connected graph is rejected here.
+    """
+    _check_scalars(cfg)
+    if cfg.topology.kind == "edge_list":
+        _check_node_profiles(cfg, load_edge_list(cfg.topology.edge_list).node_count)
+    else:
+        _check_node_profiles(cfg, cfg.topology.V)
+
+
+def _check_scalars(cfg: RunConfig) -> None:
     t, e = cfg.topology, cfg.env
     if cfg.iterations < 1 or cfg.realizations < 1:
         raise ConfigError("iterations and realizations must be >= 1")
@@ -112,18 +133,15 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("env.delta must be > 0")
     if e.flip_iteration is not None and not 0 < e.flip_iteration < cfg.iterations:
         raise ConfigError("env.flip_iteration must lie strictly inside the run")
-    V = _node_count(cfg)
+
+
+def _check_node_profiles(cfg: RunConfig, V: int) -> None:
+    e = cfg.env
     cfg.policy.validate_for(V)
     if e.sigma2_v is not None and len(e.sigma2_v) != V:
         raise ConfigError(f"explicit sigma2_v must have length V={V}")
     if e.mu_tilde is not None and len(e.mu_tilde) != V:
         raise ConfigError(f"explicit mu_tilde must have length V={V}")
-
-
-def _node_count(cfg: RunConfig) -> int:
-    if cfg.topology.kind == "edge_list":
-        return load_edge_list(cfg.topology.edge_list).node_count
-    return cfg.topology.V
 
 
 @dataclass(frozen=True)
@@ -137,13 +155,14 @@ class Materialized:
 
 def materialize(cfg: RunConfig) -> Materialized:
     """Build the shared, realization-independent state deterministically."""
-    validate_config(cfg)
+    _check_scalars(cfg)
     t, e = cfg.topology, cfg.env
     if t.kind == "edge_list":
         top = load_edge_list(t.edge_list)
     else:
         top = build_random_geometric(t.V, t.radius, np.random.SeedSequence((cfg.seed, 1)))
     V = top.node_count
+    _check_node_profiles(cfg, V)
 
     env_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
     w_opt = env_rng.uniform(-1.0, 1.0, size=e.M)
@@ -196,7 +215,11 @@ def to_db(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RunSeries:
-    """Array-backed per-iteration record series for one realization."""
+    """Array-backed per-iteration series of one realization.
+
+    A batch's series carry a leading realization axis on every array;
+    :meth:`realization` takes out one realization's series.
+    """
 
     msd: np.ndarray
     sampled: np.ndarray
@@ -207,10 +230,26 @@ class RunSeries:
     states: np.ndarray | None = None  # (T, V, M) combined estimates; debug runs only
 
     def __len__(self) -> int:
-        return self.msd.size
+        return self.msd.shape[-1]
+
+    def realization(self, b: int) -> RunSeries:
+        return RunSeries(**{f.name: None if getattr(self, f.name) is None
+                            else getattr(self, f.name)[b] for f in fields(self)})
 
 
 # --- realization engine ------------------------------------------------------
+
+# Iterations per signal block, and realizations per batch in monte_carlo.
+# Besides its (B, T) series and (B, T, V) bitmap, a batch holds 2 * B * V
+# live generators and three (B, V, BLOCK + M - 1) block arrays; at B = 8,
+# V = 20, M = 50 the larger BLOCK = 256 raised peak memory by about 1 MB
+# for no measurable speed.
+BLOCK = 128
+CHUNK = 8
+
+
+class NonFiniteStateError(RuntimeError):
+    """A realization's network MSD became NaN or infinite."""
 
 
 def run_realization(
@@ -219,7 +258,17 @@ def run_realization(
     mat: Materialized | None = None,
     record_states: bool = False,
 ) -> RunSeries:
-    """Run one seeded realization of the configured policy.
+    """Run one seeded realization: :func:`run_batch` on a batch of one."""
+    return run_batch(cfg, [realization], mat, record_states).realization(0)
+
+
+def run_batch(
+    cfg: RunConfig,
+    realizations,
+    mat: Materialized | None = None,
+    record_states: bool = False,
+) -> RunSeries:
+    """Run seeded realizations side by side, on (B, V, M) state.
 
     A policy is data fixed before the loop: its edge set (self-loops only
     for ``non_cooperative``), its sampler (alpha >= 0 for the adaptive
@@ -231,30 +280,40 @@ def run_realization(
     communication is one active directed link; a broadcast is one node
     that reaches at least one neighbor.
 
-    Deterministic: identical (cfg, realization) always produce identical
-    series.  ``mat`` may be passed to share the materialized network across
-    realizations; it is never mutated.  ``record_states`` keeps the full
-    (T, V, M) estimate trajectory — debugging aid for short runs.
+    Signals are drawn in blocks of BLOCK iterations; each block's
+    regressors are windows of one tap buffer, and its references d and step
+    sizes mu are computed before its iterations run.  Every block checks
+    that the network MSD stayed finite and raises
+    :class:`NonFiniteStateError` otherwise.
+
+    Deterministic: a realization's series is the same, bit for bit, in
+    whichever batch it runs.  ``mat`` may be passed to share the
+    materialized network; it is never mutated.  ``record_states`` keeps the
+    full (B, T, V, M) estimate trajectory, a debugging aid for short runs.
     """
     if mat is None:
         mat = materialize(cfg)
     top, env, mu_tilde = mat.topology, mat.env, mat.mu_tilde
     pol = cfg.policy
-    V, M, T = top.node_count, env.M, cfg.iterations
+    rs = list(realizations)
+    B, V, M, T = len(rs), top.node_count, env.M, cfg.iterations
 
-    inputs, noises = draw_signal_blocks(env, cfg.seed, realization, T)
-    policy_rng = stream_rng(cfg.seed, realization, 0, ROLE_POLICY)
+    streams = signal_streams(cfg.seed, rs, V)
+    policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
 
     if pol.kind == "non_cooperative":  # the self-loop-only graph
         src_e = dst_e = np.arange(V)
-        C = np.eye(V)
     else:
         src_e, dst_e = top.edge_arrays()
-        C = uniform_weights(top)
+    E = src_e.size
     deg = np.bincount(dst_e, minlength=V)
     seg_start = np.cumsum(deg) - deg  # edges are grouped by receiver
     noself = src_e != dst_e
     src_ns = src_e[noself]
+    out_deg = np.bincount(src_ns, minlength=V)
+    rows = np.arange(B)[:, None] * V  # flat (B * V) row of node 0 of each realization
+    dst_flat = (rows + dst_e).ravel()
+    jk = src_e * V + dst_e  # flat (V * V) position of each link's weight C[j, k]
 
     adaptive = pol.kind in AS_KINDS
     random_subset = pol.kind == "random_sampling"
@@ -267,100 +326,145 @@ def run_realization(
     nu = cfg.env.nu
     delta = cfg.env.delta
 
-    W = np.zeros((V, M))
-    U = np.zeros((V, M))
-    X = np.zeros((V, M))  # per node: the last psi each node transmitted
-    cache = np.zeros((src_e.size, M))  # per link: psi_src as last received at dst
-    fresh = ~noself  # per link: the self link is always fresh
-    S2e = np.ones(src_e.size)
-    s = np.ones(V, dtype=bool)  # kept by the samplers that take every node
+    W = np.zeros((B, V, M))
+    X = np.zeros((B, V, M))  # per node: the last psi each node transmitted
+    if per_link:
+        cache = np.zeros((B, E, M))  # per link: psi_src as last received at dst
+        fresh = np.tile(~noself, (B, 1))  # per link: the self link is always fresh
+        # (B, E, M) scratch: a fresh temporary this large every iteration costs
+        # more in page faults than the arithmetic done in it
+        per_edge = np.empty((B, E, M))
+    C = np.zeros((B, V, V))
+    S2e = np.ones((B, E))
+    s = np.ones((B, V), dtype=bool)  # kept by the samplers that take every node
     if adaptive:
-        alpha = np.full(V, pol.alpha_plus)
-        eps2 = np.zeros(V)
+        alpha = np.full((B, V), pol.alpha_plus)
+        eps2 = np.zeros((B, V))
         # phi'(alpha) inlined below; alpha stays clamped so exp() cannot overflow
         sgm_span = 1.0 / (1.0 + np.exp(-pol.alpha_plus)) - 1.0 / (1.0 + np.exp(pol.alpha_plus))
 
-    msd = np.empty(T)
-    comms = np.empty(T, dtype=np.int64)
-    bitmap = np.empty((T, V), dtype=bool)
-    states = np.empty((T, V, M)) if record_states else None
+    msd = np.empty((B, T))
+    sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
+    bitmap = np.empty((B, T, V), dtype=bool)
+    # comms of a transmitting node: its out-links, or one broadcast if it has any
+    unit = (out_deg if by_link else out_deg > 0).astype(np.int64)
+    states = np.empty((B, T, V, M)) if record_states else None
+    taps = np.zeros((B, V, BLOCK + M - 1))  # a block's inputs and the M-1 before, newest first
 
-    for n in range(T):
-        if flip_at is not None and n == flip_at:
-            w_opt = -w_opt
-
-        # decide
-        if adaptive:
-            s = alpha >= 0
-        elif random_subset:
-            s = draw_sampled_set(pol, V, policy_rng).astype(bool)
-        s_col = s[:, None]
-
-        # streaming data
-        U[:, 1:] = U[:, :-1]
-        U[:, 0] = inputs[n]
-        d = U @ w_opt + noises[n]
-
-        # adapt
-        e = d - np.einsum("vm,vm->v", U, W)
-        mu = mu_tilde / (delta + np.einsum("vm,vm->v", U, U))
-        PSI = np.where(s_col, W + (mu * e)[:, None] * U, W)
-
-        # transmit
+    for n0 in range(0, T, BLOCK):
+        L = min(BLOCK, T - n0)
+        blk = np.s_[:, n0:n0 + L]
+        # the block's references d and step sizes mu, (B, V, L), computed in place
+        work, d_blk = draw_signal_blocks(env, streams, L)
+        taps[:, :, L:L + M - 1] = taps[:, :, :M - 1]
+        taps[:, :, :L] = work[:, :, ::-1]
+        # window L-1-l is the regressor u(n) of iteration n = n0 + l
+        win = sliding_window_view(taps[:, :, :L + M - 1], M, axis=2)
+        uw = np.vecdot(win, env.w_opt, out=work)[:, :, ::-1]
+        if flip_at is not None:
+            uw *= np.where(np.arange(n0, n0 + L) < flip_at, 1.0, -1.0)
+        d_blk += uw
+        uu = np.vecdot(win, win, out=work)
+        uu += delta
+        mu_blk = np.divide(mu_tilde[:, None], uu, out=uu)[:, :, ::-1]
+        if random_subset:
+            subsets = np.array([[draw_sampled_set(pol, V, g) for _ in range(L)]
+                                for g in policy_rngs], dtype=bool)
         if per_link:
-            links = draw_active_links(pol.p, src_ns, policy_rng)
-            fresh[noself] = links
-            cache[fresh] = PSI[src_e[fresh]]
-            recv = cache
-        else:
-            tx = s | always_tx
-            np.copyto(X, PSI, where=tx[:, None])
-            links = tx[src_ns]
-            recv = X[src_e]
-        if by_link:
-            comms[n] = np.count_nonzero(links)
-        else:
-            comms[n] = np.count_nonzero(np.bincount(src_ns[links], minlength=V))
+            src_tiled = np.tile(src_ns, L)
+            links_blk = np.stack([draw_active_links(pol.p, src_tiled, g)
+                                  for g in policy_rngs]).reshape(B, L, src_ns.size)
+            comms[blk] = _link_comms(links_blk, src_ns, V, by_link)
 
-        # ACW update for sampled nodes (weights of unsampled nodes stay stale)
-        diff = recv - W[dst_e]
-        d2 = np.einsum("em,em->e", diff, diff)
-        upd = s[dst_e]
-        S2e[upd] = np.maximum((1.0 - nu) * S2e[upd] + nu * d2[upd], SIGMA2_FLOOR)
-        inv = 1.0 / S2e
-        colsum = np.bincount(dst_e, weights=inv, minlength=V)
-        C[src_e[upd], dst_e[upd]] = (inv / colsum[dst_e])[upd]
+        for l in range(L):
+            n = n0 + l
+            if n == flip_at:
+                w_opt = -w_opt
 
-        # combine
-        if per_link:
-            W = np.add.reduceat(C[src_e, dst_e][:, None] * cache, seg_start)
-        else:
-            W = C.T @ X
+            # decide
+            if adaptive:
+                s = alpha >= 0
+            elif random_subset:
+                s = subsets[:, l]
 
-        # squared-error caches and alpha
-        if adaptive:
-            eps2 = np.where(s, e * e, eps2)
-            q = C.T @ eps2
-            sg = 1.0 / (1.0 + np.exp(-alpha))
-            pp = sg * (1.0 - sg) / sgm_span
-            alpha = np.clip(
-                alpha + pol.mu_s * pp * (q - pol.beta * s),
-                -pol.alpha_plus,
-                pol.alpha_plus,
-            )
+            # adapt
+            U = taps[:, :, L - 1 - l:L - 1 - l + M]
+            e = d_blk[:, :, l] - np.vecdot(U, W)
+            PSI = W + (mu_blk[:, :, l] * e * s)[:, :, None] * U
 
-        # metrics
-        dev = w_opt[None, :] - W
-        msd[n] = np.einsum("vm,vm->", dev, dev) / V
-        bitmap[n] = s
-        if states is not None:
-            states[n] = W
+            # transmit, and the squared distance ||psi_j - w_k||^2 over each link
+            if per_link:
+                fresh[:, noself] = links_blk[:, l]
+                np.copyto(cache, np.take(PSI, src_e, axis=1, out=per_edge),
+                          where=fresh[:, :, None])
+                diff = np.subtract(cache, np.take(W, dst_e, axis=1, out=per_edge), out=per_edge)
+                d2 = np.vecdot(diff, diff)
+            else:
+                if always_tx:
+                    X = PSI
+                else:
+                    np.copyto(X, PSI, where=s[:, :, None])
+                G = X @ W.transpose(0, 2, 1)  # G[b, j, k] = x_j . w_k
+                d2 = (np.vecdot(X, X)[:, src_e] + np.vecdot(W, W)[:, dst_e]
+                      - 2.0 * G.reshape(B, V * V)[:, jk])
 
-    sampled = np.count_nonzero(bitmap, axis=1)
-    mults, adds = analysis.network_op_cost(
-        M, deg, sampled, np.einsum("tv,v->t", bitmap, deg), adaptive)
+            # ACW weights of sampled receivers; an idle receiver's come out unchanged
+            np.copyto(S2e, np.maximum((1.0 - nu) * S2e + nu * d2, SIGMA2_FLOOR),
+                      where=s[:, dst_e])
+            inv = 1.0 / S2e
+            colsum = np.bincount(dst_flat, weights=inv.ravel(), minlength=B * V)
+            c = inv / colsum[dst_flat].reshape(B, E)
+
+            # combine
+            if per_link:
+                W = np.add.reduceat(np.multiply(c[:, :, None], cache, out=per_edge),
+                                    seg_start, axis=1)
+            else:
+                C.reshape(B, V * V)[:, jk] = c
+                W = C.transpose(0, 2, 1) @ X
+
+            # squared-error caches and alpha
+            if adaptive:
+                eps2 = np.where(s, e * e, eps2)
+                q = (C.transpose(0, 2, 1) @ eps2[:, :, None])[:, :, 0]
+                sg = 1.0 / (1.0 + np.exp(-alpha))
+                pp = sg * (1.0 - sg) / sgm_span
+                alpha = np.minimum(np.maximum(alpha + pol.mu_s * pp * (q - pol.beta * s),
+                                              -pol.alpha_plus), pol.alpha_plus)
+
+            # metrics
+            dev = (w_opt - W).reshape(B, V * M)
+            msd[:, n] = np.vecdot(dev, dev) / V
+            bitmap[:, n] = s
+            if states is not None:
+                states[:, n] = W
+
+        bad = ~np.isfinite(msd[blk])
+        if bad.any():
+            b, l = np.argwhere(bad)[0]
+            raise NonFiniteStateError(
+                f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}")
+
+        # the block's counters, from its sampled nodes
+        bits = bitmap[blk]
+        sampled[blk] = np.count_nonzero(bits, axis=2)
+        mults[blk], adds[blk] = analysis.network_op_cost(
+            M, deg, sampled[blk], np.einsum("btv,v->bt", bits, deg), adaptive)
+        if not per_link:  # a node transmits iff it samples (censoring) or always
+            comms[blk] = unit.sum() if always_tx else np.einsum("btv,v->bt", bits, unit)
+
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)
+
+
+def _link_comms(links: np.ndarray, src: np.ndarray, V: int, by_link: bool) -> np.ndarray:
+    """Communications per iteration from (..., links) activations of the links from ``src``."""
+    if by_link:
+        return np.count_nonzero(links, axis=-1)
+    *lead, link = np.nonzero(links)
+    reached = np.zeros(links.shape[:-1] + (V,), dtype=bool)
+    reached[(*lead, src[link])] = True
+    return np.count_nonzero(reached, axis=-1)
 
 
 # --- Monte Carlo aggregation -------------------------------------------------
@@ -399,13 +503,11 @@ def monte_carlo(cfg: RunConfig, mat: Materialized | None = None,
         mat = materialize(cfg)
     T, R = cfg.iterations, cfg.realizations
     acc = {k: np.zeros(T) for k in ("msd", "sampled", "comms", "mults", "adds")}
-    for r in range(R):
-        series = run_realization(cfg, r, mat)
-        acc["msd"] += series.msd
-        acc["sampled"] += series.sampled
-        acc["comms"] += series.comms
-        acc["mults"] += series.mults
-        acc["adds"] += series.adds
+    for first in range(0, R, CHUNK):
+        batch = run_batch(cfg, range(first, min(first + CHUNK, R)), mat)
+        for b in range(batch.msd.shape[0]):  # in realization order, whatever CHUNK is
+            for k in acc:
+                acc[k] += getattr(batch, k)[b]
     for k in acc:
         acc[k] /= R
 
@@ -522,11 +624,3 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
     lines = [f"{k} = {v}" for k, v in manifest.items()]
     path.write_text("\n".join(lines) + "\n")
 
-
-def write_sampled_bitmap(series: RunSeries, path: str | Path) -> None:
-    """Diagnostic stream: one line per iteration, one 0/1 per node."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
-        for row in series.sampled_bitmap:
-            f.write("".join("1" if v else "0" for v in row) + "\n")

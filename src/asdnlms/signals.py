@@ -137,20 +137,35 @@ class NodeStream:
         return self.u, float(d)
 
 
-def draw_signal_blocks(
-    env: Environment, seed: int, realization: int, iterations: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw (iterations, V) input samples and noise samples.
+def signal_streams(
+    seed: int, realizations, V: int
+) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
+    """Input and noise generators of every (realization, node), realization-major.
 
-    Consumes exactly the substreams NodeStream would, so a block-based run
-    sees the same signals as a sample-by-sample one.
+    They are the substreams NodeStream consumes; a batch keeps them alive
+    and :func:`draw_signal_blocks` draws from them one block at a time.
+    """
+    keys = [(r, k) for r in realizations for k in range(V)]
+    return ([stream_rng(seed, r, k, ROLE_INPUT) for r, k in keys],
+            [stream_rng(seed, r, k, ROLE_NOISE) for r, k in keys])
+
+
+def draw_signal_blocks(
+    env: Environment, streams: tuple[list, list], iterations: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the next ``iterations`` input and noise samples of every stream.
+
+    ``streams`` comes from :func:`signal_streams` for B realizations; the
+    result is two (B, V, iterations) arrays.  Drawing a run in blocks gives
+    the same numbers as one draw of the whole run.
     """
     V = env.V
-    inputs = np.empty((iterations, V))
-    noises = np.empty((iterations, V))
-    for k in range(V):
-        gi = stream_rng(seed, realization, k, ROLE_INPUT)
-        gn = stream_rng(seed, realization, k, ROLE_NOISE)
-        inputs[:, k] = gi.standard_normal(iterations) * np.sqrt(env.sigma2_u[k])
-        noises[:, k] = gn.standard_normal(iterations) * np.sqrt(env.sigma2_v[k])
+    B = len(streams[0]) // V
+    inputs = np.empty((B, V, iterations))
+    noises = np.empty((B, V, iterations))
+    for out, gens in zip((inputs, noises), streams):
+        for g, row in zip(gens, out.reshape(B * V, iterations)):
+            g.standard_normal(out=row)
+    inputs *= np.sqrt(env.sigma2_u)[:, None]
+    noises *= np.sqrt(env.sigma2_v)[:, None]
     return inputs, noises

@@ -245,3 +245,42 @@ class TestCli:
         path.write_text(GOOD_CONFIG)
         rc = main(["run", "--config", str(path), "--out", str(blocker / "nested")])
         assert rc == 2
+
+    def test_non_finite_state_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        import asdnlms.harness as harness
+
+        draw = harness.draw_signal_blocks
+
+        def one_nan_sample(env, streams, iterations):
+            inputs, noises = draw(env, streams, iterations)
+            inputs[0, 2, 30] = np.nan
+            return inputs, noises
+
+        monkeypatch.setattr(harness, "draw_signal_blocks", one_nan_sample)
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "realization 0: network MSD is not finite at iteration 30" in capsys.readouterr().err
+        assert not (out / "as_sampling.csv").exists()
+
+    def test_edge_list_read_once_per_materialize(self, tmp_path, monkeypatch):
+        import asdnlms.harness as harness
+        from asdnlms.network import load_edge_list
+
+        edges = tmp_path / "ring.edges"
+        edges.write_text("6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG.replace("topology.kind = random_geometric",
+                                            f"topology.kind = edge_list\ntopology.edge_list = {edges}"))
+        cfg = parse_config_file(path)
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return load_edge_list(p)
+
+        monkeypatch.setattr(harness, "load_edge_list", counting)
+        mat = materialize(cfg)
+        assert mat.topology.node_count == 6
+        assert len(calls) == 1

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from asdnlms.analysis import as_dnlms_op_cost, dnlms_op_cost, gated_dnlms_op_cost
 from asdnlms.diffusion import NodeEstimator, acw_update, adapt, combine, compute_error
 from asdnlms.harness import (
+    BLOCK,
+    CHUNK,
     ConfigError,
     materialize,
     monte_carlo,
     moving_average,
     network_msd,
+    run_batch,
     run_realization,
     steady_windows,
     to_db,
@@ -21,7 +24,7 @@ from asdnlms.harness import (
     write_manifest,
 )
 from asdnlms.sampling import AS_KINDS, SamplerState, draw_active_links, draw_sampled_set
-from asdnlms.signals import ROLE_POLICY, draw_signal_blocks, stream_rng
+from asdnlms.signals import ROLE_POLICY, draw_signal_blocks, signal_streams, stream_rng
 from conftest import make_config
 
 
@@ -216,7 +219,8 @@ def reference_run(cfg, realization, mat):
     links = list(zip(src_e[noself], dst_e[noself]))
     # cache[k][j]: psi_j as last received at k; the self link is always fresh
     cache = [{j: np.zeros(M) for j in neighbors[k]} for k in range(V)]
-    inputs, noises = draw_signal_blocks(env, cfg.seed, realization, T)
+    inputs, noises = (a[0].T for a in draw_signal_blocks(
+        env, signal_streams(cfg.seed, [realization], V), T))
     policy_rng = stream_rng(cfg.seed, realization, 0, ROLE_POLICY)
 
     ests = [
@@ -238,6 +242,7 @@ def reference_run(cfg, realization, mat):
     W_hist = np.empty((T, V, M))
     s_hist = np.empty((T, V), dtype=int)
     alpha_hist = np.empty((T, V))
+    comms = {"link": np.zeros(T, dtype=int), "broadcast": np.zeros(T, dtype=int)}
     for n in range(T):
         if env.flip_iteration is not None and n == env.flip_iteration:
             w_opt = -w_opt
@@ -262,15 +267,20 @@ def reference_run(cfg, realization, mat):
 
         if kind == "probabilistic_transmission":
             act = draw_active_links(pol.p, src_e[noself], policy_rng)
-            for (j, k), on in zip(links, act):
-                if on:
-                    cache[k][j] = ests[j].psi
+            sent = [link for link, on in zip(links, act) if on]
+            for j, k in sent:
+                cache[k][j] = ests[j].psi
             for k in range(V):
                 cache[k][k] = ests[k].psi
         else:
+            # censoring: an idle node's stale psi is what its neighbors hold
+            sent = [] if kind == "non_cooperative" else [
+                (j, k) for j, k in links if s[j] or kind != "as_censoring"]
             for k in range(V):
                 for j in neighbors[k]:
                     cache[k][j] = ests[j].psi
+        comms["link"][n] = len(sent)
+        comms["broadcast"][n] = len({j for j, _ in sent})
         for k in range(V):
             if s[k]:
                 weights[k] = acw_update(ests[k], cache[k])
@@ -291,7 +301,7 @@ def reference_run(cfg, realization, mat):
             alpha_hist[n] = 0.0
         W_hist[n] = np.stack(new_w)
         s_hist[n] = s
-    return W_hist, s_hist, alpha_hist
+    return W_hist, s_hist, alpha_hist, comms
 
 
 class TestEngineMatchesPerNodeReference:
@@ -301,15 +311,97 @@ class TestEngineMatchesPerNodeReference:
         cfg = make_config(kind=kind, V=6, M=4, iterations=120, seed=31,
                           **({"V_s": 3} if kind == "random_sampling" else {}))
         mat = materialize(cfg)
-        W_ref, s_ref, alpha_ref = reference_run(cfg, 0, mat)
+        W_ref, s_ref, alpha_ref, comms_ref = reference_run(cfg, 0, mat)
 
         series = run_realization(cfg, 0, mat, record_states=True)
         assert np.array_equal(series.sampled_bitmap.astype(int), s_ref)
+        assert np.array_equal(series.comms, comms_ref["link"])
         assert series.states == pytest.approx(W_ref, rel=1e-8, abs=1e-12)
 
         ref_msd = np.array([network_msd(W_ref[n], mat.env.w_opt) for n in range(120)])
         assert series.msd == pytest.approx(ref_msd, rel=1e-8, abs=1e-12)
 
+
+
+KINDS = ["full", "as_sampling", "as_censoring", "random_sampling", "probabilistic_transmission",
+         "non_cooperative"]
+SERIES = ("msd", "sampled", "comms", "mults", "adds", "sampled_bitmap")
+
+
+def assert_matches_reference(cfg, realization=0):
+    """The engine's trajectory, sampled nodes and comms against :func:`reference_run`."""
+    mat = materialize(cfg)
+    W_ref, s_ref, _, comms_ref = reference_run(cfg, realization, mat)
+    series = run_realization(cfg, realization, mat, record_states=True)
+    assert np.array_equal(series.sampled_bitmap.astype(int), s_ref)
+    assert np.array_equal(series.comms, comms_ref[cfg.comm_unit])
+    assert series.states == pytest.approx(W_ref, rel=1e-8, abs=1e-12)
+    flip = cfg.env.flip_iteration
+    sign = np.where(np.arange(cfg.iterations) < (flip or cfg.iterations), 1.0, -1.0)
+    ref_msd = np.array([network_msd(W, s * mat.env.w_opt) for W, s in zip(W_ref, sign)])
+    assert series.msd == pytest.approx(ref_msd, rel=1e-8, abs=1e-12)
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_above_chunk_matches_single_runs(self, kind):
+        R = CHUNK + 3
+        cfg = replace(make_config(kind=kind, V=6, M=4, iterations=300, realizations=R, seed=5,
+                                  flip=150), comm_unit="broadcast")
+        mat = materialize(cfg)
+        batch = run_batch(cfg, range(R), mat)
+        agg = monte_carlo(cfg, mat)
+        msd_sum = np.zeros(cfg.iterations)
+        for r in range(R):
+            single = run_realization(cfg, r, mat)
+            for name in SERIES:
+                assert np.array_equal(getattr(batch, name)[r], getattr(single, name)), name
+            msd_sum += single.msd
+        assert np.array_equal(agg.msd, msd_sum / R)
+
+    @pytest.mark.parametrize("kind", ["as_censoring", "probabilistic_transmission"])
+    @pytest.mark.parametrize("T", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_block_boundaries_match_reference(self, kind, T):
+        assert_matches_reference(make_config(kind=kind, V=4, M=3, iterations=T, seed=8))
+
+    @pytest.mark.parametrize("kind", ["as_sampling", "random_sampling"])
+    def test_flip_at_block_start_matches_reference(self, kind):
+        assert_matches_reference(make_config(kind=kind, V=4, M=3, iterations=2 * BLOCK + 5,
+                                             seed=8, flip=BLOCK), realization=2)
+
+    def test_taps_carry_over_blocks_shorter_than_the_filter(self, monkeypatch):
+        import asdnlms.harness as harness
+
+        monkeypatch.setattr(harness, "BLOCK", 3)
+        assert_matches_reference(make_config(kind="as_censoring", V=4, M=7, iterations=20,
+                                             seed=8, flip=10))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        unit=st.sampled_from(["link", "broadcast"]),
+        V=st.integers(1, 6),
+        M=st.integers(1, 6),
+        T=st.integers(1, 300),
+        flip=st.booleans(),
+        seed=st.integers(0, 2**16),
+        realization=st.integers(0, 3),
+        radius=st.floats(0.4, 1.5),
+        beta=st.floats(0.05, 2.0),
+        mu_s=st.floats(0.01, 1.0),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_property_matches_reference(self, kind, unit, V, M, T, flip, seed, realization,
+                                        radius, beta, mu_s, p):
+        params = {
+            "as_sampling": dict(beta=beta, mu_s=mu_s),
+            "as_censoring": dict(beta=beta, mu_s=mu_s),
+            "random_sampling": dict(V_s=1 + seed % V),
+            "probabilistic_transmission": dict(p=p),
+        }.get(kind, {})
+        cfg = make_config(kind=kind, V=V, M=M, iterations=T, seed=seed, radius=radius,
+                          flip=T // 2 if flip and T > 1 else None, **params)
+        assert_matches_reference(replace(cfg, comm_unit=unit), realization)
 
 class TestMonteCarlo:
     def test_single_realization_identity(self):
@@ -376,14 +468,3 @@ class TestOutputFiles:
         assert to_db(np.array([1.0]))[0] == 0.0
         assert to_db(np.array([0.1]))[0] == pytest.approx(-10.0)
 
-    def test_sampled_bitmap_export(self, tmp_path):
-        from asdnlms.harness import write_sampled_bitmap
-
-        cfg = make_config(kind="as_sampling", V=5, M=4, iterations=30, seed=3)
-        series = run_realization(cfg, 0, materialize(cfg))
-        path = tmp_path / "sampled.txt"
-        write_sampled_bitmap(series, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 30
-        assert set("".join(lines)) <= {"0", "1"}
-        assert lines[0] == "11111"  # everyone starts sampled

@@ -7,6 +7,7 @@ from asdnlms.signals import (
     apply_flip,
     draw_signal_blocks,
     init_environment,
+    signal_streams,
 )
 
 
@@ -82,20 +83,30 @@ class TestAdvanceStream:
 
     def test_input_noise_streams_decorrelated(self):
         env = init_environment(M=4, V=3, seed=8)
-        inputs, noises = draw_signal_blocks(env, seed=8, realization=0, iterations=100_000)
+        inputs, noises = (a[0].T for a in draw_signal_blocks(env, signal_streams(8, [0], 3),
+                                                                100_000))
         for k in range(3):
             corr = np.corrcoef(inputs[:, k], noises[:, k])[0, 1]
             assert abs(corr) < 0.02
 
     def test_blocks_match_stream(self):
         env = init_environment(M=5, V=2, seed=21)
-        inputs, noises = draw_signal_blocks(env, seed=21, realization=4, iterations=50)
+        inputs, noises = (a[0].T for a in draw_signal_blocks(env, signal_streams(21, [4], 2), 50))
         stream = NodeStream(env, node=1, seed=21, realization=4)
         for n in range(50):
             u, d = stream.advance()
             assert u[0] == inputs[n, 1]
             assert d - u @ env.w_opt == pytest.approx(noises[n, 1], abs=1e-12)
 
+
+    def test_streamed_blocks_match_full_draw(self):
+        env = init_environment(M=5, V=3, seed=2)
+        full = draw_signal_blocks(env, signal_streams(2, [0, 5], 3), 700)
+        streams = signal_streams(2, [0, 5], 3)
+        blocks = [draw_signal_blocks(env, streams, L) for L in (256, 1, 300, 143)]
+        for whole, parts in zip(full, zip(*blocks)):
+            assert whole.shape == (2, 3, 700)
+            assert np.array_equal(np.concatenate(parts, axis=2), whole)
 
 class TestApplyFlip:
     def test_sign_flip(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from asdnlms.harness import ConfigError, EnvSpec, RunConfig, TopologySpec, validate_config
+from asdnlms.harness import ConfigError, EnvSpec, RunConfig, TopologySpec, check_config
 from asdnlms.sampling import PolicyConfig
 
 
@@ -55,7 +55,11 @@ _SCHEMA = {
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse and validate a flat key-value configuration."""
+    """Parse and check a flat key-value configuration.
+
+    An edge-list file is not read here: ``validate`` and ``materialize``
+    load it and check the node count against it.
+    """
     raw: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -88,7 +92,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    validate_config(cfg)
+    check_config(cfg)
     return cfg
 
 

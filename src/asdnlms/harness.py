@@ -93,10 +93,19 @@ def validate_config(cfg: RunConfig) -> None:
     An edge-list topology is loaded, so a file that does not make a
     connected graph is rejected here.
     """
-    _check_scalars(cfg)
+    check_config(cfg)
     if cfg.topology.kind == "edge_list":
         _check_node_profiles(cfg, load_edge_list(cfg.topology.edge_list).node_count)
-    else:
+
+
+def check_config(cfg: RunConfig) -> None:
+    """Every check of :func:`validate_config` that reads no file.
+
+    The node-count checks of an edge-list topology are left to
+    :func:`materialize`, which makes them against the graph it loads.
+    """
+    _check_scalars(cfg)
+    if cfg.topology.kind != "edge_list":
         _check_node_profiles(cfg, cfg.topology.V)
 
 
@@ -282,9 +291,18 @@ def run_batch(
 
     Signals are drawn in blocks of BLOCK iterations; each block's
     regressors are windows of one tap buffer, and its references d and step
-    sizes mu are computed before its iterations run.  Every block checks
-    that the network MSD stayed finite and raises
+    sizes mu are computed before its iterations run.  The masks of a block
+    are set before it too: the sampled-node bitmap of a non-adaptive
+    sampler (a random sampler's V_s subsets come from one draw per
+    realization) and the fresh-link mask of probabilistic transmission.
+    Every block checks that the network MSD stayed finite and raises
     :class:`NonFiniteStateError` otherwise.
+
+    Workspace: every array the round loop writes is allocated once per
+    call, before the first block, and each iteration writes into it in
+    place (``out=``); an iteration allocates no (B, ...) array apart from
+    the (B * V) column sums of the ACW weights, which ``np.bincount``
+    returns.  The workspace is local to the call.
 
     Deterministic: a realization's series is the same, bit for bit, in
     whichever batch it runs.  ``mat`` may be passed to share the
@@ -311,12 +329,17 @@ def run_batch(
     noself = src_e != dst_e
     src_ns = src_e[noself]
     out_deg = np.bincount(src_ns, minlength=V)
-    rows = np.arange(B)[:, None] * V  # flat (B * V) row of node 0 of each realization
-    dst_flat = (rows + dst_e).ravel()
-    jk = src_e * V + dst_e  # flat (V * V) position of each link's weight C[j, k]
+    # (B, E) positions in flat (B * V) and (B * V * V) arrays: each link's
+    # transmitter, its receiver, and its weight C[b, j, k]
+    rows = np.arange(B)[:, None]
+    src_rows, dst_rows = rows * V + src_e, rows * V + dst_e
+    jk = src_e * V + dst_e
+    jk_rows = rows * V * V + jk
+    dst_flat = dst_rows.ravel()
 
     adaptive = pol.kind in AS_KINDS
     random_subset = pol.kind == "random_sampling"
+    every = not (adaptive or random_subset)  # every node samples: no sampled-node mask
     per_link = pol.kind == "probabilistic_transmission"
     always_tx = pol.kind != "as_censoring"
     by_link = cfg.comm_unit == "link"
@@ -324,28 +347,51 @@ def run_batch(
     w_opt = env.w_opt.copy()
     flip_at = env.flip_iteration
     nu = cfg.env.nu
+    keep = 1.0 - nu
     delta = cfg.env.delta
 
+    # the workspace; one W suffices, as nothing reads the old W once the
+    # combine has written the new one
     W = np.zeros((B, V, M))
-    X = np.zeros((B, V, M))  # per node: the last psi each node transmitted
+    WT = W.transpose(0, 2, 1)
+    PSI = np.empty((B, V, M))
+    dev = np.empty((B, V, M))
+    dev_flat = dev.reshape(B, V * M)
+    e, g = np.empty((2, B, V))  # the error, and a scratch row per node
+    g3 = g[:, :, None]
+    S2e = np.ones((B, E))
+    d2, inv, c, tmp = np.empty((4, B, E))
+    inv_flat = inv.reshape(B * E)
+    if not every:
+        s_dst = np.empty((B, E), dtype=bool)  # the sampled-node mask at each link's receiver
     if per_link:
         cache = np.zeros((B, E, M))  # per link: psi_src as last received at dst
-        fresh = np.tile(~noself, (B, 1))  # per link: the self link is always fresh
         # (B, E, M) scratch: a fresh temporary this large every iteration costs
         # more in page faults than the arithmetic done in it
         per_edge = np.empty((B, E, M))
-    C = np.zeros((B, V, V))
-    S2e = np.ones((B, E))
-    s = np.ones((B, V), dtype=bool)  # kept by the samplers that take every node
+        fresh = np.empty((B, BLOCK, E), dtype=bool)  # per iteration and link
+        fresh[:, :, ~noself] = True  # the self link is always fresh
+    else:
+        # per node: the last psi each node transmitted, psi itself when all do
+        X = PSI if always_tx else np.zeros((B, V, M))
+        G = np.empty((B, V, V))
+        xx, ww = np.empty((2, B, V))
+        C = np.zeros((B, V, V))
+        C_flat, CT = C.reshape(B, V * V), C.transpose(0, 2, 1)
     if adaptive:
         alpha = np.full((B, V), pol.alpha_plus)
-        eps2 = np.zeros((B, V))
+        sg, pp = np.empty((2, B, V))
+        eps2, q = np.zeros((2, B, V, 1))  # columns for the (V, V) @ (V, 1) product
+        q0 = q[:, :, 0]
+        mu_s, beta, alpha_plus = pol.mu_s, pol.beta, pol.alpha_plus
         # phi'(alpha) inlined below; alpha stays clamped so exp() cannot overflow
-        sgm_span = 1.0 / (1.0 + np.exp(-pol.alpha_plus)) - 1.0 / (1.0 + np.exp(pol.alpha_plus))
+        sgm_span = 1.0 / (1.0 + np.exp(-alpha_plus)) - 1.0 / (1.0 + np.exp(alpha_plus))
 
     msd = np.empty((B, T))
     sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
     bitmap = np.empty((B, T, V), dtype=bool)
+    if every:
+        bitmap[...] = True
     # comms of a transmitting node: its out-links, or one broadcast if it has any
     unit = (out_deg if by_link else out_deg > 0).astype(np.int64)
     states = np.empty((B, T, V, M)) if record_states else None
@@ -367,78 +413,99 @@ def run_batch(
         uu = np.vecdot(win, win, out=work)
         uu += delta
         mu_blk = np.divide(mu_tilde[:, None], uu, out=uu)[:, :, ::-1]
+        # the block's masks
         if random_subset:
-            subsets = np.array([[draw_sampled_set(pol, V, g) for _ in range(L)]
-                                for g in policy_rngs], dtype=bool)
+            for b, rng in enumerate(policy_rngs):
+                bitmap[b, n0:n0 + L] = draw_sampled_set(pol, V, rng, L)
         if per_link:
             src_tiled = np.tile(src_ns, L)
-            links_blk = np.stack([draw_active_links(pol.p, src_tiled, g)
-                                  for g in policy_rngs]).reshape(B, L, src_ns.size)
-            comms[blk] = _link_comms(links_blk, src_ns, V, by_link)
+            links = np.stack([draw_active_links(pol.p, src_tiled, rng)
+                              for rng in policy_rngs]).reshape(B, L, src_ns.size)
+            fresh[:, :L, noself] = links
+            comms[blk] = _link_comms(links, src_ns, V, by_link)
 
         for l in range(L):
             n = n0 + l
             if n == flip_at:
-                w_opt = -w_opt
+                np.negative(w_opt, out=w_opt)
 
             # decide
+            s = bitmap[:, n]
             if adaptive:
-                s = alpha >= 0
-            elif random_subset:
-                s = subsets[:, l]
+                np.greater_equal(alpha, 0, out=s)
 
-            # adapt
+            # adapt: psi = w + (mu e s) u
             U = taps[:, :, L - 1 - l:L - 1 - l + M]
-            e = d_blk[:, :, l] - np.vecdot(U, W)
-            PSI = W + (mu_blk[:, :, l] * e * s)[:, :, None] * U
+            np.vecdot(U, W, out=e)
+            np.subtract(d_blk[:, :, l], e, out=e)
+            np.multiply(mu_blk[:, :, l], e, out=g)
+            if not every:
+                g *= s
+            np.multiply(g3, U, out=PSI)
+            PSI += W
 
             # transmit, and the squared distance ||psi_j - w_k||^2 over each link
             if per_link:
-                fresh[:, noself] = links_blk[:, l]
-                np.copyto(cache, np.take(PSI, src_e, axis=1, out=per_edge),
-                          where=fresh[:, :, None])
-                diff = np.subtract(cache, np.take(W, dst_e, axis=1, out=per_edge), out=per_edge)
-                d2 = np.vecdot(diff, diff)
+                np.copyto(cache, PSI.take(src_e, axis=1, out=per_edge),
+                          where=fresh[:, l, :, None])
+                np.subtract(cache, W.take(dst_e, axis=1, out=per_edge), out=per_edge)
+                np.vecdot(per_edge, per_edge, out=d2)
             else:
-                if always_tx:
-                    X = PSI
-                else:
+                if not always_tx:
                     np.copyto(X, PSI, where=s[:, :, None])
-                G = X @ W.transpose(0, 2, 1)  # G[b, j, k] = x_j . w_k
-                d2 = (np.vecdot(X, X)[:, src_e] + np.vecdot(W, W)[:, dst_e]
-                      - 2.0 * G.reshape(B, V * V)[:, jk])
+                np.matmul(X, WT, out=G)  # G[b, j, k] = x_j . w_k
+                np.vecdot(X, X, out=xx).take(src_rows, out=d2)
+                d2 += np.vecdot(W, W, out=ww).take(dst_rows, out=tmp)
+                G.take(jk_rows, out=tmp)
+                tmp *= 2.0
+                d2 -= tmp
 
             # ACW weights of sampled receivers; an idle receiver's come out unchanged
-            np.copyto(S2e, np.maximum((1.0 - nu) * S2e + nu * d2, SIGMA2_FLOOR),
-                      where=s[:, dst_e])
-            inv = 1.0 / S2e
-            colsum = np.bincount(dst_flat, weights=inv.ravel(), minlength=B * V)
-            c = inv / colsum[dst_flat].reshape(B, E)
+            d2 *= nu
+            np.multiply(S2e, keep, out=tmp)
+            tmp += d2
+            if every:
+                np.maximum(tmp, SIGMA2_FLOOR, out=S2e)
+            else:
+                np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
+                np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst), tmp)
+            np.divide(1.0, S2e, out=inv)
+            colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
+            np.divide(inv, colsum.take(dst_rows, out=c), out=c)
 
             # combine
             if per_link:
-                W = np.add.reduceat(np.multiply(c[:, :, None], cache, out=per_edge),
-                                    seg_start, axis=1)
+                np.add.reduceat(np.multiply(c[:, :, None], cache, out=per_edge),
+                                seg_start, axis=1, out=W)
             else:
-                C.reshape(B, V * V)[:, jk] = c
-                W = C.transpose(0, 2, 1) @ X
+                C_flat[:, jk] = c
+                np.matmul(CT, X, out=W)
 
             # squared-error caches and alpha
             if adaptive:
-                eps2 = np.where(s, e * e, eps2)
-                q = (C.transpose(0, 2, 1) @ eps2[:, :, None])[:, :, 0]
-                sg = 1.0 / (1.0 + np.exp(-alpha))
-                pp = sg * (1.0 - sg) / sgm_span
-                alpha = np.minimum(np.maximum(alpha + pol.mu_s * pp * (q - pol.beta * s),
-                                              -pol.alpha_plus), pol.alpha_plus)
+                np.putmask(eps2, s, np.multiply(e, e, out=g))
+                np.matmul(CT, eps2, out=q)
+                np.negative(alpha, out=sg)
+                np.exp(sg, out=sg)
+                sg += 1.0
+                np.divide(1.0, sg, out=sg)
+                np.subtract(1.0, sg, out=pp)
+                pp *= sg
+                pp /= sgm_span
+                pp *= mu_s
+                np.subtract(q0, np.multiply(s, beta, out=g), out=g)
+                g *= pp
+                alpha += g
+                np.maximum(alpha, -alpha_plus, out=alpha)
+                np.minimum(alpha, alpha_plus, out=alpha)
 
-            # metrics
-            dev = (w_opt - W).reshape(B, V * M)
-            msd[:, n] = np.vecdot(dev, dev) / V
-            bitmap[:, n] = s
+            # metrics: the squared deviations, divided by V once per block
+            np.subtract(w_opt, W, out=dev)
+            np.vecdot(dev_flat, dev_flat, out=msd[:, n])
             if states is not None:
                 states[:, n] = W
 
+        msd[blk] /= V
         bad = ~np.isfinite(msd[blk])
         if bad.any():
             b, l = np.argwhere(bad)[0]

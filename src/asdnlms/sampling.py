@@ -151,19 +151,25 @@ class PolicyConfig:
             raise ValueError(f"V_s={self.V_s} exceeds node count V={V}")
 
 
-def draw_sampled_set(policy: PolicyConfig, V: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-iteration sampled-node mask for the non-adaptive policies.
+def draw_sampled_set(policy: PolicyConfig, V: int, rng: np.random.Generator,
+                     iterations: int = 1) -> np.ndarray:
+    """(iterations, V) sampled-node masks for the non-adaptive policies.
 
-    full / non_cooperative / probabilistic_transmission sample everyone;
-    random_sampling picks exactly V_s nodes uniformly.  Adaptive kinds are
-    decided from alpha, not here.
+    full / non_cooperative / probabilistic_transmission sample everyone.
+    random_sampling picks exactly V_s nodes per iteration, uniformly: the
+    V_s smallest of V uniform draws.  All iterations come from one draw
+    of (iterations, V) uniforms, so drawing a run in blocks gives the same
+    subsets as drawing it whole or one iteration at a time.  Adaptive kinds
+    are decided from alpha, not here.
     """
     if policy.kind == "random_sampling":
-        s = np.zeros(V, dtype=np.int64)
-        s[rng.choice(V, size=policy.V_s, replace=False)] = 1
+        u = rng.random((iterations, V))
+        s = np.zeros((iterations, V), dtype=bool)
+        np.put_along_axis(s, np.argpartition(u, policy.V_s - 1, axis=1)[:, :policy.V_s],
+                          True, axis=1)
         return s
     if policy.kind in ("full", "non_cooperative", "probabilistic_transmission"):
-        return np.ones(V, dtype=np.int64)
+        return np.ones((iterations, V), dtype=bool)
     raise ValueError(f"policy {policy.kind!r} decides sampling adaptively")
 
 
@@ -172,5 +178,4 @@ def draw_active_links(
 ) -> np.ndarray:
     """Bernoulli activation per directed link, probability indexed by transmitter."""
     p_arr = np.asarray(p, dtype=float)
-    p_per_link = p_arr[src] if p_arr.ndim else np.full(src.shape, float(p_arr))
-    return rng.random(src.shape[0]) < p_per_link
+    return rng.random(src.shape[0]) < (p_arr[src] if p_arr.ndim else float(p_arr))

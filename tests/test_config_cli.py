@@ -273,7 +273,6 @@ class TestCli:
         path = tmp_path / "run.cfg"
         path.write_text(GOOD_CONFIG.replace("topology.kind = random_geometric",
                                             f"topology.kind = edge_list\ntopology.edge_list = {edges}"))
-        cfg = parse_config_file(path)
         calls = []
 
         def counting(p):
@@ -281,6 +280,27 @@ class TestCli:
             return load_edge_list(p)
 
         monkeypatch.setattr(harness, "load_edge_list", counting)
+        cfg = parse_config_file(path)
+        assert calls == []  # parsing reads no edge-list file
         mat = materialize(cfg)
         assert mat.topology.node_count == 6
         assert len(calls) == 1
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2
+        assert main(["validate", "--config", str(path)]) == 0
+        assert len(calls) == 3
+
+    def test_run_checks_profiles_against_the_loaded_edge_list(self, tmp_path, capsys):
+        edges = tmp_path / "ring.edges"
+        edges.write_text("5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG.replace("topology.kind = random_geometric",
+                                            f"topology.kind = edge_list\ntopology.edge_list = {edges}")
+                        + "env.sigma2_v = 0.1,0.2,0.3,0.4,0.2,0.1\n")
+        parse_config_file(path)  # the node count is not known before the file is read
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "length V=5" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "length V=5" in capsys.readouterr().err
+        assert not out.exists()

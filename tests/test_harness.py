@@ -249,7 +249,7 @@ def reference_run(cfg, realization, mat):
         if adaptive:
             s = np.array([sm.decide() for sm in samplers])
         elif kind == "random_sampling":
-            s = draw_sampled_set(pol, V, policy_rng)
+            s = draw_sampled_set(pol, V, policy_rng)[0]  # one iteration of the block draw
         else:
             s = np.ones(V, dtype=int)
 
@@ -402,6 +402,59 @@ class TestBatchEngine:
         cfg = make_config(kind=kind, V=V, M=M, iterations=T, seed=seed, radius=radius,
                           flip=T // 2 if flip and T > 1 else None, **params)
         assert_matches_reference(replace(cfg, comm_unit=unit), realization)
+
+
+class TestWorkspace:
+    def test_interleaved_batches_match_standalone_runs(self, monkeypatch):
+        # a second batch of another shape runs inside the first, between its
+        # blocks; neither may see the other's workspace
+        import asdnlms.harness as harness
+
+        outer = make_config(kind="as_sampling", V=20, M=50, iterations=2 * BLOCK + 7,
+                            seed=11, radius=0.35, flip=BLOCK + 3)
+        inner = replace(make_config(kind="probabilistic_transmission", V=9, M=3,
+                                    iterations=BLOCK + 5, seed=12, radius=0.5),
+                        comm_unit="broadcast")
+        mat_outer, mat_inner = materialize(outer), materialize(inner)
+        before = {id(m): _arrays(m) for m in (mat_outer, mat_inner)}
+        alone_outer = run_batch(outer, range(3), mat_outer)
+        alone_inner = run_batch(inner, [0, 4], mat_inner)
+
+        draw = harness.draw_signal_blocks
+        nested = []
+
+        def draw_then_interleave(env, streams, L):
+            if env is mat_outer.env:
+                nested.append(run_batch(inner, [0, 4], mat_inner))
+            return draw(env, streams, L)
+
+        monkeypatch.setattr(harness, "draw_signal_blocks", draw_then_interleave)
+        interleaved = run_batch(outer, range(3), mat_outer)
+        assert len(nested) == 3  # one per block of the outer run
+        for got, want in [(interleaved, alone_outer)] + [(n, alone_inner) for n in nested]:
+            for name in SERIES:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for m in (mat_outer, mat_inner):
+            after = _arrays(m)
+            assert all(np.array_equal(after[k], v) for k, v in before[id(m)].items())
+
+    def test_random_sampling_draws_exactly_vs_uniform_nodes(self):
+        V, V_s, R, T = 10, 3, 4, 2 * BLOCK + 40
+        cfg = make_config(kind="random_sampling", V=V, M=3, iterations=T, realizations=R,
+                          seed=21, V_s=V_s)
+        bits = run_batch(cfg, range(R), materialize(cfg)).sampled_bitmap
+        assert np.all(bits.sum(axis=2) == V_s)  # every iteration, across block boundaries
+        p, trials = V_s / V, R * T
+        freq = bits.reshape(trials, V).mean(axis=0)
+        assert np.all(np.abs(freq - p) <= 6 * np.sqrt(p * (1 - p) / trials))
+
+
+def _arrays(mat):
+    """Copies of every array a Materialized holds."""
+    env = mat.env
+    return {"mu_tilde": mat.mu_tilde.copy(), "w_opt": env.w_opt.copy(),
+            "sigma2_v": env.sigma2_v.copy(), "sigma2_u": env.sigma2_u.copy()}
+
 
 class TestMonteCarlo:
     def test_single_realization_identity(self):

@@ -182,6 +182,15 @@ class TestBaselines:
             s = draw_sampled_set(pol, 10, rng)
             assert s.sum() == 4
 
+    def test_random_block_draws_match_one_draw(self):
+        pol = PolicyConfig(kind="random_sampling", V_s=4)
+        whole = draw_sampled_set(pol, 10, np.random.default_rng(5), 30)
+        rng = np.random.default_rng(5)
+        parts = np.concatenate([draw_sampled_set(pol, 10, rng, L) for L in (1, 12, 17)])
+        assert whole.shape == (30, 10)
+        assert np.array_equal(whole, parts)
+        assert np.all(whole.sum(axis=1) == 4)
+
     def test_random_with_vs_equal_v_is_full(self, rng):
         pol = PolicyConfig(kind="random_sampling", V_s=10)
         assert np.all(draw_sampled_set(pol, 10, rng) == 1)

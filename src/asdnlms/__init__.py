@@ -6,49 +6,36 @@ energy-saving censoring variant), baseline sampling/transmission policies,
 closed-form steady-state predictions, and a seeded Monte Carlo harness.
 """
 
-from asdnlms.network import (
-    Topology,
-    build_random_geometric,
-    metropolis_weights,
-    uniform_weights,
+from asdnlms.analysis import predict, sampled_node_bounds
+from asdnlms.config import ConfigError, RunConfig, parse_config_file
+from asdnlms.harness import (
+    NonFiniteStateError,
+    materialize,
+    monte_carlo,
+    write_csv,
+    write_manifest,
 )
-from asdnlms.signals import Environment, NodeStream, apply_flip, init_environment
-from asdnlms.sampling import PolicyConfig, SamplerState, decide, phi, phi_prime
-from asdnlms.analysis import (
-    SteadyStatePrediction,
-    beta_admissible,
-    duty_cycle_estimate,
-    predict,
-    sampled_node_bounds,
-    theta_bounds,
-)
-from asdnlms.harness import RunConfig, monte_carlo, moving_average, network_msd, run_realization
+from asdnlms.network import Topology, build_random_geometric, load_edge_list, save_edge_list
+from asdnlms.presets import expand_preset
+from asdnlms.sampling import PolicyConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ConfigError",
+    "RunConfig",
+    "PolicyConfig",
+    "parse_config_file",
+    "expand_preset",
     "Topology",
     "build_random_geometric",
-    "uniform_weights",
-    "metropolis_weights",
-    "Environment",
-    "NodeStream",
-    "init_environment",
-    "apply_flip",
-    "PolicyConfig",
-    "SamplerState",
-    "phi",
-    "phi_prime",
-    "decide",
-    "SteadyStatePrediction",
-    "beta_admissible",
-    "theta_bounds",
-    "duty_cycle_estimate",
-    "sampled_node_bounds",
-    "predict",
-    "RunConfig",
-    "run_realization",
+    "load_edge_list",
+    "save_edge_list",
+    "materialize",
     "monte_carlo",
-    "network_msd",
-    "moving_average",
+    "write_csv",
+    "write_manifest",
+    "NonFiniteStateError",
+    "predict",
+    "sampled_node_bounds",
 ]

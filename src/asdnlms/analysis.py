@@ -1,4 +1,4 @@
-"""Closed-form steady-state predictions and the per-node operation-cost model.
+"""Closed-form steady-state predictions and the network operation-cost model.
 
 Everything here is a pure function of (V, beta, sigma2_min, sigma2_max) or
 of per-iteration sampling states.  The sampling step size mu_s is absent
@@ -103,45 +103,23 @@ def predict(V: int, beta: float, sigma2_min: float, sigma2_max: float) -> Steady
 
 
 # --- operation-cost model ---------------------------------------------------
-#
-# Per node k per iteration, with nk = |N_k| (self included).  The adaptive
-# variant gates the adapt arithmetic on the node's own sampling state and
-# adds the mechanism overhead; the combine term M*nk is always paid.
-
-
-def dnlms_op_cost(M: int, nk: int) -> tuple[int, int]:
-    """(multiplications, additions) for plain diffusion NLMS with ACW weights."""
-    return M * (3 + nk) + 4, M * (3 + nk) + 3
-
-
-def as_dnlms_op_cost(M: int, nk: int, s_k: int, s_neighbors_sum: int) -> tuple[int, int]:
-    """(multiplications, additions) for the adaptive-sampling variant.
-
-    ``s_neighbors_sum`` counts the sampled nodes in N_k, self included.
-    """
-    mults = s_k * (3 * M + 4) + M * nk + s_neighbors_sum + 2
-    adds = s_k * (4 * M + 2) + M * nk - M + nk + 2
-    return mults, adds
-
-
-def gated_dnlms_op_cost(M: int, nk: int, s_k: int) -> tuple[int, int]:
-    """(multiplications, additions) for dNLMS whose adapt step is externally gated.
-
-    Used for the random-sampling baseline: the adapt/update arithmetic is
-    skipped on unsampled nodes but no sampling-mechanism overhead is paid.
-    Reduces to the plain dNLMS cost when s_k = 1.
-    """
-    return s_k * (3 * M + 4) + M * nk, s_k * (4 * M + 2) + M * nk - M + 1
 
 
 def network_op_cost(M: int, deg, sampled, s_deg, mechanism: bool):
     """Per-iteration (multiplications, additions) summed over the nodes.
 
-    ``deg`` holds each |N_k|; ``sampled`` is sum_k s_k and ``s_deg`` is
-    sum_k s_k |N_k|, as scalars or per-iteration arrays.  With the sampling
-    ``mechanism`` this is the sum of :func:`as_dnlms_op_cost`, whose
-    neighbor term sums to s_deg on a symmetric graph; without it, the sum of
-    :func:`gated_dnlms_op_cost`, plain dNLMS when every node samples.
+    ``deg`` holds each |N_k| (self included); ``sampled`` is sum_k s_k and
+    ``s_deg`` is sum_k s_k |N_k|, as scalars or per-iteration arrays.  Per
+    node k, the adapt arithmetic is paid only while k samples and the
+    combine term M |N_k| always:
+
+        gated dNLMS   s_k (3M + 4) + M |N_k|    and  s_k (4M + 2) + M |N_k| - M + 1
+        AS-dNLMS      the same, plus the sampling mechanism's
+                      sum_{i in N_k} s_i + 2    and  |N_k| + 1
+
+    With every s_k = 1, gated dNLMS is plain dNLMS, M (3 + |N_k|) + 4 and
+    M (3 + |N_k|) + 3.  The mechanism's neighbor term sums to s_deg over a
+    symmetric graph.
     """
     V, D = deg.size, int(deg.sum())
     mults = (3 * M + 4) * sampled + M * D

@@ -4,7 +4,7 @@ Subcommands:
     run       execute a Monte Carlo campaign from a config file
     preset    run a named experiment preset (one CSV per variant)
     predict   print the closed-form steady-state bounds
-    validate  check a config file without running it
+    validate  check a config file and build its network, without running it
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error (an I/O
 failure, or a realization whose network MSD stopped being finite; no CSV is
@@ -20,15 +20,13 @@ import sys
 from pathlib import Path
 
 from asdnlms import analysis
-from asdnlms.config import parse_config_file
+from asdnlms.config import ConfigError, parse_config_file
 from asdnlms.harness import (
-    ConfigError,
     Materialized,
     MonteCarloResult,
     NonFiniteStateError,
     materialize,
     monte_carlo,
-    validate_config,
     write_csv,
     write_manifest,
 )
@@ -138,8 +136,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = parse_config_file(args.config)
-    validate_config(cfg)
+    materialize(parse_config_file(args.config))
     print(f"{args.config}: ok")
     return 0
 

@@ -1,4 +1,4 @@
-"""Flat key-value run-configuration files.
+"""Run configuration: its dataclasses, its checks and its flat file format.
 
 Format: one `section.key = value` per line, `#` comments, blank lines
 ignored.  Sections are topology., env., policy. and run.; every key maps
@@ -9,10 +9,108 @@ ranges and echoed into the output manifest.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
-from asdnlms.harness import ConfigError, EnvSpec, RunConfig, TopologySpec, check_config
 from asdnlms.sampling import PolicyConfig
+
+COMM_UNITS = ("link", "broadcast")
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration."""
+
+
+@dataclass(frozen=True)
+class TopologySpec:
+    kind: str = "random_geometric"
+    V: int = 20
+    radius: float = 0.35
+    edge_list: str | None = None
+
+
+@dataclass(frozen=True)
+class EnvSpec:
+    M: int = 50
+    sigma2_v_min: float = 0.1
+    sigma2_v_max: float = 0.4
+    sigma2_v: tuple[float, ...] | None = None
+    sigma2_u: float = 1.0
+    mu_tilde_min: float = 0.2
+    mu_tilde_max: float = 1.0
+    mu_tilde: tuple[float, ...] | None = None
+    nu: float = 0.2
+    delta: float = 1e-5
+    flip_iteration: int | None = None
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    topology: TopologySpec
+    env: EnvSpec
+    policy: PolicyConfig
+    iterations: int = 20000
+    realizations: int = 100
+    seed: int = 1
+    out_dir: str | None = None
+    comm_unit: str = "link"
+    label: str | None = None
+
+    def name(self) -> str:
+        return self.label or self.policy.kind
+
+
+def check_config(cfg: RunConfig) -> None:
+    """Reject configurations the engine would not run correctly, reading no file.
+
+    The node count of an edge-list topology is known only once its file is
+    read, so :func:`asdnlms.harness.materialize` checks the node profiles
+    of such a config against the graph it loads.
+    """
+    t, e = cfg.topology, cfg.env
+    if cfg.iterations < 1 or cfg.realizations < 1:
+        raise ConfigError("iterations and realizations must be >= 1")
+    if cfg.comm_unit not in COMM_UNITS:
+        raise ConfigError(f"comm_unit must be one of {COMM_UNITS}")
+    if t.kind not in ("random_geometric", "edge_list"):
+        raise ConfigError(f"unknown topology kind {t.kind!r}")
+    if t.kind == "random_geometric":
+        if t.V < 1:
+            raise ConfigError("topology.V must be >= 1")
+        if t.radius <= 0:
+            raise ConfigError("topology.radius must be > 0")
+    if t.kind == "edge_list" and not t.edge_list:
+        raise ConfigError("topology.edge_list file required for kind=edge_list")
+    if e.M < 1:
+        raise ConfigError("env.M must be >= 1")
+    if e.sigma2_v is None and not 0 < e.sigma2_v_min <= e.sigma2_v_max:
+        raise ConfigError("noise profile needs 0 < sigma2_v_min <= sigma2_v_max")
+    if e.sigma2_v is not None and any(v < 0 for v in e.sigma2_v):
+        raise ConfigError("explicit sigma2_v entries must be >= 0")
+    if e.sigma2_u <= 0:
+        raise ConfigError("env.sigma2_u must be > 0")
+    if e.mu_tilde is None and not 0 < e.mu_tilde_min <= e.mu_tilde_max < 2:
+        raise ConfigError("step-size profile needs 0 < mu_tilde_min <= mu_tilde_max < 2")
+    if e.mu_tilde is not None and any(not 0 < m < 2 for m in e.mu_tilde):
+        raise ConfigError("explicit mu_tilde entries must lie in (0, 2)")
+    if not 0 < e.nu <= 1:
+        raise ConfigError("env.nu must lie in (0, 1]")
+    if e.delta <= 0:
+        raise ConfigError("env.delta must be > 0")
+    if e.flip_iteration is not None and not 0 < e.flip_iteration < cfg.iterations:
+        raise ConfigError("env.flip_iteration must lie strictly inside the run")
+    if t.kind != "edge_list":
+        check_node_profiles(cfg, t.V)
+
+
+def check_node_profiles(cfg: RunConfig, V: int) -> None:
+    """Check the policy and the explicit per-node profiles against V nodes."""
+    e = cfg.env
+    cfg.policy.validate_for(V)
+    if e.sigma2_v is not None and len(e.sigma2_v) != V:
+        raise ConfigError(f"explicit sigma2_v must have length V={V}")
+    if e.mu_tilde is not None and len(e.mu_tilde) != V:
+        raise ConfigError(f"explicit mu_tilde must have length V={V}")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -57,8 +155,8 @@ _SCHEMA = {
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse and check a flat key-value configuration.
 
-    An edge-list file is not read here: ``validate`` and ``materialize``
-    load it and check the node count against it.
+    An edge-list file is not read here: ``materialize`` loads it and checks
+    the node count against it.
     """
     raw: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -101,47 +199,3 @@ def parse_config_file(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     return parse_config_text(path.read_text(), source=str(path))
-
-
-def format_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back into the flat file format (round-trippable)."""
-    lines = []
-    t = cfg.topology
-    lines.append(f"topology.kind = {t.kind}")
-    if t.kind == "random_geometric":
-        lines.append(f"topology.V = {t.V}")
-        lines.append(f"topology.radius = {t.radius}")
-    else:
-        lines.append(f"topology.edge_list = {t.edge_list}")
-    e = cfg.env
-    lines.append(f"env.M = {e.M}")
-    if e.sigma2_v is not None:
-        lines.append("env.sigma2_v = " + ",".join(f"{v:g}" for v in e.sigma2_v))
-    else:
-        lines.append(f"env.sigma2_v_min = {e.sigma2_v_min}")
-        lines.append(f"env.sigma2_v_max = {e.sigma2_v_max}")
-    lines.append(f"env.sigma2_u = {e.sigma2_u}")
-    if e.mu_tilde is not None:
-        lines.append("env.mu_tilde = " + ",".join(f"{v:g}" for v in e.mu_tilde))
-    else:
-        lines.append(f"env.mu_tilde_min = {e.mu_tilde_min}")
-        lines.append(f"env.mu_tilde_max = {e.mu_tilde_max}")
-    lines.append(f"env.nu = {e.nu}")
-    lines.append(f"env.delta = {e.delta}")
-    if e.flip_iteration is not None:
-        lines.append(f"env.flip_iteration = {e.flip_iteration}")
-    p = cfg.policy
-    lines.append(f"policy.kind = {p.kind}")
-    for name in ("beta", "mu_s", "alpha_plus", "V_s", "p"):
-        val = getattr(p, name)
-        if val is not None:
-            lines.append(f"policy.{name} = {val}")
-    lines.append(f"run.iterations = {cfg.iterations}")
-    lines.append(f"run.realizations = {cfg.realizations}")
-    lines.append(f"run.seed = {cfg.seed}")
-    if cfg.out_dir is not None:
-        lines.append(f"run.out_dir = {cfg.out_dir}")
-    lines.append(f"run.comm_unit = {cfg.comm_unit}")
-    if cfg.label is not None:
-        lines.append(f"run.label = {cfg.label}")
-    return "\n".join(lines) + "\n"

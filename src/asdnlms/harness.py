@@ -25,14 +25,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from asdnlms import analysis
-from asdnlms.diffusion import SIGMA2_FLOOR
+from asdnlms.config import RunConfig, check_config, check_node_profiles
 from asdnlms.network import (
     Topology,
     build_random_geometric,
     load_edge_list,
     uniform_weights,  # noqa: F401  (unused; perfbench/run.py traces it here)
 )
-from asdnlms.sampling import AS_KINDS, PolicyConfig, draw_active_links, draw_sampled_set
+from asdnlms.sampling import AS_KINDS, draw_active_links, draw_sampled_set, phi_prime
 from asdnlms.signals import (
     ROLE_POLICY,
     Environment,
@@ -41,116 +41,9 @@ from asdnlms.signals import (
     stream_rng,
 )
 
-COMM_UNITS = ("link", "broadcast")
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    kind: str = "random_geometric"
-    V: int = 20
-    radius: float = 0.35
-    edge_list: str | None = None
-
-
-@dataclass(frozen=True)
-class EnvSpec:
-    M: int = 50
-    sigma2_v_min: float = 0.1
-    sigma2_v_max: float = 0.4
-    sigma2_v: tuple[float, ...] | None = None
-    sigma2_u: float = 1.0
-    mu_tilde_min: float = 0.2
-    mu_tilde_max: float = 1.0
-    mu_tilde: tuple[float, ...] | None = None
-    nu: float = 0.2
-    delta: float = 1e-5
-    flip_iteration: int | None = None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    topology: TopologySpec
-    env: EnvSpec
-    policy: PolicyConfig
-    iterations: int = 20000
-    realizations: int = 100
-    seed: int = 1
-    out_dir: str | None = None
-    comm_unit: str = "link"
-    label: str | None = None
-
-    def name(self) -> str:
-        return self.label or self.policy.kind
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Reject configurations the engine would not run correctly.
-
-    An edge-list topology is loaded, so a file that does not make a
-    connected graph is rejected here.
-    """
-    check_config(cfg)
-    if cfg.topology.kind == "edge_list":
-        _check_node_profiles(cfg, load_edge_list(cfg.topology.edge_list).node_count)
-
-
-def check_config(cfg: RunConfig) -> None:
-    """Every check of :func:`validate_config` that reads no file.
-
-    The node-count checks of an edge-list topology are left to
-    :func:`materialize`, which makes them against the graph it loads.
-    """
-    _check_scalars(cfg)
-    if cfg.topology.kind != "edge_list":
-        _check_node_profiles(cfg, cfg.topology.V)
-
-
-def _check_scalars(cfg: RunConfig) -> None:
-    t, e = cfg.topology, cfg.env
-    if cfg.iterations < 1 or cfg.realizations < 1:
-        raise ConfigError("iterations and realizations must be >= 1")
-    if cfg.comm_unit not in COMM_UNITS:
-        raise ConfigError(f"comm_unit must be one of {COMM_UNITS}")
-    if t.kind not in ("random_geometric", "edge_list"):
-        raise ConfigError(f"unknown topology kind {t.kind!r}")
-    if t.kind == "random_geometric":
-        if t.V < 1:
-            raise ConfigError("topology.V must be >= 1")
-        if t.radius <= 0:
-            raise ConfigError("topology.radius must be > 0")
-    if t.kind == "edge_list" and not t.edge_list:
-        raise ConfigError("topology.edge_list file required for kind=edge_list")
-    if e.M < 1:
-        raise ConfigError("env.M must be >= 1")
-    if e.sigma2_v is None and not 0 < e.sigma2_v_min <= e.sigma2_v_max:
-        raise ConfigError("noise profile needs 0 < sigma2_v_min <= sigma2_v_max")
-    if e.sigma2_v is not None and any(v < 0 for v in e.sigma2_v):
-        raise ConfigError("explicit sigma2_v entries must be >= 0")
-    if e.sigma2_u <= 0:
-        raise ConfigError("env.sigma2_u must be > 0")
-    if e.mu_tilde is None and not 0 < e.mu_tilde_min <= e.mu_tilde_max < 2:
-        raise ConfigError("step-size profile needs 0 < mu_tilde_min <= mu_tilde_max < 2")
-    if e.mu_tilde is not None and any(not 0 < m < 2 for m in e.mu_tilde):
-        raise ConfigError("explicit mu_tilde entries must lie in (0, 2)")
-    if not 0 < e.nu <= 1:
-        raise ConfigError("env.nu must lie in (0, 1]")
-    if e.delta <= 0:
-        raise ConfigError("env.delta must be > 0")
-    if e.flip_iteration is not None and not 0 < e.flip_iteration < cfg.iterations:
-        raise ConfigError("env.flip_iteration must lie strictly inside the run")
-
-
-def _check_node_profiles(cfg: RunConfig, V: int) -> None:
-    e = cfg.env
-    cfg.policy.validate_for(V)
-    if e.sigma2_v is not None and len(e.sigma2_v) != V:
-        raise ConfigError(f"explicit sigma2_v must have length V={V}")
-    if e.mu_tilde is not None and len(e.mu_tilde) != V:
-        raise ConfigError(f"explicit mu_tilde must have length V={V}")
+# Inverse-variance floor: only ever reached when a neighbor's intermediate
+# estimate exactly equals the local combined estimate.
+SIGMA2_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -163,15 +56,21 @@ class Materialized:
 
 
 def materialize(cfg: RunConfig) -> Materialized:
-    """Build the shared, realization-independent state deterministically."""
-    _check_scalars(cfg)
+    """Build the shared, realization-independent state deterministically.
+
+    It makes every check of the config: :func:`check_config`, then, for an
+    edge-list topology, the node profiles against the graph its file
+    holds.  A config that cannot be built raises here, before any
+    realization runs.
+    """
+    check_config(cfg)
     t, e = cfg.topology, cfg.env
     if t.kind == "edge_list":
         top = load_edge_list(t.edge_list)
+        check_node_profiles(cfg, top.node_count)
     else:
         top = build_random_geometric(t.V, t.radius, np.random.SeedSequence((cfg.seed, 1)))
     V = top.node_count
-    _check_node_profiles(cfg, V)
 
     env_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
     w_opt = env_rng.uniform(-1.0, 1.0, size=e.M)
@@ -195,12 +94,6 @@ def materialize(cfg: RunConfig) -> Materialized:
 
 
 # --- metrics -----------------------------------------------------------------
-
-
-def network_msd(W: np.ndarray, w_opt: np.ndarray) -> float:
-    """(1/V) sum_k ||w_opt - w_k||^2 for a (V, M) stack of estimates."""
-    dev = w_opt[None, :] - np.atleast_2d(W)
-    return float(np.einsum("vm,vm->", dev, dev) / dev.shape[0])
 
 
 def moving_average(x: np.ndarray, L: int = 64) -> np.ndarray:
@@ -302,7 +195,8 @@ def run_batch(
     call, before the first block, and each iteration writes into it in
     place (``out=``); an iteration allocates no (B, ...) array apart from
     the (B * V) column sums of the ACW weights, which ``np.bincount``
-    returns.  The workspace is local to the call.
+    returns, and, for the adaptive kinds, the (B, V) slope that
+    :func:`sampling.phi_prime` returns.  The workspace is local to the call.
 
     Deterministic: a realization's series is the same, bit for bit, in
     whichever batch it runs.  ``mat`` may be passed to share the
@@ -380,12 +274,10 @@ def run_batch(
         C_flat, CT = C.reshape(B, V * V), C.transpose(0, 2, 1)
     if adaptive:
         alpha = np.full((B, V), pol.alpha_plus)
-        sg, pp = np.empty((2, B, V))
+        pp = np.empty((B, V))
         eps2, q = np.zeros((2, B, V, 1))  # columns for the (V, V) @ (V, 1) product
         q0 = q[:, :, 0]
         mu_s, beta, alpha_plus = pol.mu_s, pol.beta, pol.alpha_plus
-        # phi'(alpha) inlined below; alpha stays clamped so exp() cannot overflow
-        sgm_span = 1.0 / (1.0 + np.exp(-alpha_plus)) - 1.0 / (1.0 + np.exp(alpha_plus))
 
     msd = np.empty((B, T))
     sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
@@ -485,14 +377,7 @@ def run_batch(
             if adaptive:
                 np.putmask(eps2, s, np.multiply(e, e, out=g))
                 np.matmul(CT, eps2, out=q)
-                np.negative(alpha, out=sg)
-                np.exp(sg, out=sg)
-                sg += 1.0
-                np.divide(1.0, sg, out=sg)
-                np.subtract(1.0, sg, out=pp)
-                pp *= sg
-                pp /= sgm_span
-                pp *= mu_s
+                np.multiply(phi_prime(alpha, alpha_plus), mu_s, out=pp)
                 np.subtract(q0, np.multiply(s, beta, out=g), out=g)
                 g *= pp
                 alpha += g

@@ -1,8 +1,8 @@
-"""Network topology and static combination-weight rules.
+"""Network topology: random geometric graphs and edge-list files.
 
 A topology is an undirected, connected graph over V nodes in which every
-neighborhood N_k contains k itself.  Combination matrices are stored as
-dense (V, V) arrays with C[j, k] = weight that node k applies to the
+neighborhood N_k contains k itself.  A combination matrix is a dense
+(V, V) array with C[j, k] = weight that node k applies to the
 intermediate estimate received from neighbor j; every column sums to 1
 over N_k and is zero elsewhere.
 """
@@ -48,14 +48,6 @@ class Topology:
     def degrees(self) -> np.ndarray:
         """|N_k| for every k, self-loop included."""
         return np.array([len(nk) for nk in self.neighbors], dtype=np.int64)
-
-    def adjacency(self) -> np.ndarray:
-        """Boolean (V, V) matrix with True on every (j, k) with j in N_k."""
-        V = self.node_count
-        A = np.zeros((V, V), dtype=bool)
-        for k, nk in enumerate(self.neighbors):
-            A[list(nk), k] = True
-        return A
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All ordered pairs (src, dst) with src in N_dst, self-pairs included."""
@@ -123,31 +115,6 @@ def uniform_weights(top: Topology) -> np.ndarray:
     for k, nk in enumerate(top.neighbors):
         C[list(nk), k] = 1.0 / len(nk)
     return C
-
-
-def metropolis_weights(top: Topology) -> np.ndarray:
-    """Metropolis rule: C[j, k] = 1/max(|N_k|, |N_j|) off-diagonal, remainder on k."""
-    V = top.node_count
-    deg = top.degrees()
-    C = np.zeros((V, V))
-    for k, nk in enumerate(top.neighbors):
-        for j in nk:
-            if j != k:
-                C[j, k] = 1.0 / max(deg[k], deg[j])
-        C[k, k] = 1.0 - C[:, k].sum()
-    return C
-
-
-def check_combination_matrix(C: np.ndarray, top: Topology, tol: float = 1e-12) -> None:
-    """Validate non-negativity, column-stochasticity and neighborhood support."""
-    A = top.adjacency()
-    if np.any(C < 0):
-        raise ValueError("negative combination weight")
-    if np.any(C[~A] != 0):
-        raise ValueError("weight outside the neighborhood support")
-    colsums = C.sum(axis=0)
-    if np.any(np.abs(colsums - 1.0) > tol):
-        raise ValueError(f"column sums deviate from 1 by more than {tol}")
 
 
 def save_edge_list(top: Topology, path: str | Path) -> None:

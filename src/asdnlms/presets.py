@@ -9,7 +9,7 @@ iterations.
 
 from __future__ import annotations
 
-from asdnlms.harness import EnvSpec, RunConfig, TopologySpec
+from asdnlms.config import EnvSpec, RunConfig, TopologySpec
 from asdnlms.sampling import PolicyConfig
 
 DEFAULT_V = 20

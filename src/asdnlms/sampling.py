@@ -1,4 +1,4 @@
-"""Adaptive node-sampling decisions and baseline sampling/transmission policies.
+"""Sampling/transmission policies, their baseline draws and the adaptive sampler's slope.
 
 Each node holds a mixing variable alpha_k mapped through a normalized
 sigmoid to s_k in [0, 1]; the node samples its reference signal whenever
@@ -10,8 +10,7 @@ eventually re-sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,81 +28,18 @@ AS_KINDS = ("as_sampling", "as_censoring")
 DEFAULT_ALPHA_PLUS = 4.0
 
 
-def _sgm(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
-
-
-def phi(alpha, alpha_plus: float = DEFAULT_ALPHA_PLUS):
-    """Normalized sigmoid mapping alpha to s in [0, 1]; phi(+a)=1, phi(-a)=0."""
-    lo = _sgm(-alpha_plus)
-    hi = _sgm(alpha_plus)
-    return (_sgm(alpha) - lo) / (hi - lo)
-
-
 def phi_prime(alpha, alpha_plus: float = DEFAULT_ALPHA_PLUS):
-    """Derivative of :func:`phi`; strictly positive."""
-    s = _sgm(alpha)
-    return s * (1.0 - s) / (_sgm(alpha_plus) - _sgm(-alpha_plus))
+    """Slope of the normalized sigmoid phi that maps alpha to s in [0, 1].
 
-
-def decide(alpha):
-    """Sampling decision: 1 iff alpha >= 0 (s = 0.5 falls on the sampled side)."""
-    return np.where(np.asarray(alpha) >= 0, 1, 0) if np.ndim(alpha) else int(alpha >= 0)
-
-
-def update_alpha_value(alpha, weighted_eps2, sampled, beta, mu_s, alpha_plus):
-    """One stochastic-gradient step on alpha, clamped to [-alpha_plus, alpha_plus].
-
-    ``weighted_eps2`` is sum_i c_ik eps2_i over the neighborhood, using each
-    neighbor's latest available squared error.
+    With sgm(x) = 1 / (1 + e^-x) and span = sgm(alpha_plus) - sgm(-alpha_plus),
+    phi(alpha) = (sgm(alpha) - sgm(-alpha_plus)) / span, so
+    phi'(alpha) = sgm(alpha) (1 - sgm(alpha)) / span > 0.  alpha is meant to
+    lie on the clamped range [-alpha_plus, alpha_plus], where e^-alpha cannot
+    overflow.  The engine's alpha update calls this function.
     """
-    step = mu_s * phi_prime(alpha, alpha_plus) * (weighted_eps2 - beta * sampled)
-    return np.clip(alpha + step, -alpha_plus, alpha_plus)
-
-
-@dataclass
-class SamplerState:
-    """Sampling-mechanism state owned by one node.
-
-    ``eps2`` caches, per neighbor, the squared error from the most recent
-    iteration at which that neighbor was sampled.
-    """
-
-    beta: float
-    mu_s: float
-    alpha_plus: float = DEFAULT_ALPHA_PLUS
-    alpha: float = field(default=None)  # defaults to alpha_plus: start sampled
-    s_bar: int = 1
-    eps2: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.beta <= 0 or self.mu_s <= 0 or self.alpha_plus <= 0:
-            raise ValueError("beta, mu_s and alpha_plus must be > 0")
-        if self.alpha is None:
-            self.alpha = self.alpha_plus
-        self.alpha = float(np.clip(self.alpha, -self.alpha_plus, self.alpha_plus))
-
-    def decide(self) -> int:
-        self.s_bar = decide(self.alpha)
-        return self.s_bar
-
-    def refresh_eps(self, i: int, e_i: float | None, sampled_i: int) -> None:
-        """Record neighbor i's squared error when it was sampled this iteration."""
-        if sampled_i:
-            self.eps2[i] = float(e_i) ** 2
-
-    def update_alpha(self, weights: Mapping[int, float]) -> float:
-        q = sum(weights[i] * self.eps2.get(i, 0.0) for i in weights)
-        self.alpha = float(
-            update_alpha_value(self.alpha, q, self.s_bar, self.beta, self.mu_s, self.alpha_plus)
-        )
-        return self.alpha
+    s = 1.0 / (1.0 + np.exp(-np.asarray(alpha, dtype=float)))
+    span = 1.0 / (1.0 + np.exp(-alpha_plus)) - 1.0 / (1.0 + np.exp(alpha_plus))
+    return (1.0 - s) * s / span
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ on paired signal realizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,84 +66,14 @@ class Environment:
         return float(self.sigma2_v.min())
 
 
-def init_environment(
-    M: int,
-    V: int,
-    sigma2_v_range: tuple[float, float] = (0.1, 0.4),
-    sigma2_u: float = 1.0,
-    seed=0,
-    flip_iteration: int | None = None,
-) -> Environment:
-    """Draw w_opt uniformly on [-1, 1]^M and a per-node noise profile.
-
-    Deterministic for a fixed seed.  The default noise profile spans
-    [0.1, 0.4] so the usual parameter choices keyed to the largest noise
-    variance keep their numeric relationships.
-    """
-    if M < 1 or V < 1:
-        raise ValueError("M and V must be >= 1")
-    lo, hi = sigma2_v_range
-    if lo <= 0 or hi <= 0 or lo > hi:
-        raise ValueError(f"invalid noise-variance profile [{lo}, {hi}]")
-    if sigma2_u <= 0:
-        raise ValueError("sigma2_u must be > 0")
-    rng = np.random.default_rng(seed)
-    w_opt = rng.uniform(-1.0, 1.0, size=M)
-    sigma2_v = rng.uniform(lo, hi, size=V)
-    return Environment(
-        w_opt=w_opt,
-        sigma2_v=sigma2_v,
-        sigma2_u=np.full(V, float(sigma2_u)),
-        flip_iteration=flip_iteration,
-    )
-
-
-def apply_flip(env: Environment, n: int) -> Environment:
-    """Negate w_opt in place when n hits the configured flip iteration."""
-    if env.flip_iteration is not None and n == env.flip_iteration:
-        env.w_opt = -env.w_opt
-    return env
-
-
-@dataclass
-class NodeStream:
-    """Per-node delay line plus its input/noise generator state.
-
-    Owned by a single realization; never shared.  The delay line shifts by
-    exactly one sample per iteration: u_k(n) = [x(n), x(n-1), ..., x(n-M+1)].
-    """
-
-    env: Environment
-    node: int
-    seed: int
-    realization: int = 0
-    u: np.ndarray = field(init=False)
-    _rng_in: np.random.Generator = field(init=False, repr=False)
-    _rng_noise: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.u = np.zeros(self.env.M)
-        self._rng_in = stream_rng(self.seed, self.realization, self.node, ROLE_INPUT)
-        self._rng_noise = stream_rng(self.seed, self.realization, self.node, ROLE_NOISE)
-
-    def advance(self) -> tuple[np.ndarray, float]:
-        """Shift in one input sample and produce (u_k(n), d_k(n))."""
-        k = self.node
-        x = self._rng_in.standard_normal() * np.sqrt(self.env.sigma2_u[k])
-        self.u[1:] = self.u[:-1]
-        self.u[0] = x
-        v = self._rng_noise.standard_normal() * np.sqrt(self.env.sigma2_v[k])
-        d = float(self.u @ self.env.w_opt) + v
-        return self.u, float(d)
-
-
 def signal_streams(
     seed: int, realizations, V: int
 ) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
     """Input and noise generators of every (realization, node), realization-major.
 
-    They are the substreams NodeStream consumes; a batch keeps them alive
-    and :func:`draw_signal_blocks` draws from them one block at a time.
+    Each is the (seed, realization, node, role) substream of one node's
+    input or noise; a batch keeps them alive and :func:`draw_signal_blocks`
+    draws from them one block at a time.
     """
     keys = [(r, k) for r in realizations for k in range(V)]
     return ([stream_rng(seed, r, k, ROLE_INPUT) for r, k in keys],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asdnlms.harness import EnvSpec, RunConfig, TopologySpec
+from asdnlms.config import EnvSpec, RunConfig, TopologySpec
 from asdnlms.sampling import PolicyConfig
 
 

@@ -14,22 +14,15 @@ import numpy as np
 import pytest
 
 from asdnlms.analysis import (
-    as_dnlms_op_cost,
-    dnlms_op_cost,
     duty_cycle_estimate,
     predict,
     sampled_node_bounds,
     theta_bounds,
 )
-from asdnlms.harness import (
-    EnvSpec,
-    RunConfig,
-    TopologySpec,
-    materialize,
-    monte_carlo,
-    run_realization,
-)
-from asdnlms.sampling import PolicyConfig, phi, phi_prime
+from asdnlms.config import EnvSpec, RunConfig, TopologySpec
+from asdnlms.harness import materialize, monte_carlo, run_realization
+from asdnlms.sampling import PolicyConfig, phi_prime
+from reference import adjacency, as_dnlms_op_cost, dnlms_op_cost, phi
 
 SEED = 1
 V = 20
@@ -177,7 +170,7 @@ def test_c5_cost_accounting():
     mat = materialize(cfg)
     series = run_realization(cfg, 0, mat)
     deg = mat.topology.degrees()
-    A = mat.topology.adjacency()
+    A = adjacency(mat.topology)
 
     windows = [range(0, 100), range(ITERATIONS - 100, ITERATIONS)]
     equal_ok = True
@@ -224,7 +217,12 @@ def test_c6_censoring_communications(flip_campaign):
 
 
 def test_c7_gradient_check():
-    """Sigmoid-slope analytic derivative vs central finite differences."""
+    """Sigmoid-slope analytic derivative vs central finite differences.
+
+    The analytic side is ``sampling.phi_prime``, the one phi' in the package:
+    the engine's alpha update calls it (tests/test_harness.py checks that).
+    The numeric side differentiates the reference ``phi`` of tests/reference.py.
+    """
     alpha_plus = 4.0
     h = 1e-5
     grid = np.linspace(-alpha_plus, alpha_plus, 101)

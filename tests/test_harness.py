@@ -5,27 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asdnlms.analysis import as_dnlms_op_cost, dnlms_op_cost, gated_dnlms_op_cost
-from asdnlms.diffusion import NodeEstimator, acw_update, adapt, combine, compute_error
+from asdnlms.config import ConfigError
 from asdnlms.harness import (
     BLOCK,
     CHUNK,
-    ConfigError,
     materialize,
     monte_carlo,
     moving_average,
-    network_msd,
     run_batch,
     run_realization,
     steady_windows,
     to_db,
-    validate_config,
     write_csv,
     write_manifest,
 )
-from asdnlms.sampling import AS_KINDS, SamplerState, draw_active_links, draw_sampled_set
-from asdnlms.signals import ROLE_POLICY, draw_signal_blocks, signal_streams, stream_rng
+from asdnlms.sampling import phi_prime
 from conftest import make_config
+from reference import (
+    adjacency,
+    as_dnlms_op_cost,
+    dnlms_op_cost,
+    gated_dnlms_op_cost,
+    network_msd,
+    reference_run,
+)
 
 
 class TestNetworkMsd:
@@ -171,7 +174,7 @@ class TestCostAccounting:
         mat = materialize(cfg)
         series = run_realization(cfg, 0, mat)
         deg = mat.topology.degrees()
-        A = mat.topology.adjacency()
+        A = adjacency(mat.topology)
         M = cfg.env.M
         for n in range(0, 300, 7):
             s = series.sampled_bitmap[n].astype(int)
@@ -204,106 +207,6 @@ class TestCostAccounting:
         assert np.all(series.mults == expected)
 
 
-def reference_run(cfg, realization, mat):
-    """Straightforward per-node loop built from the single-node operations."""
-    top, env, mu_tilde = mat.topology, mat.env, mat.mu_tilde
-    pol = cfg.policy
-    kind = pol.kind
-    V, M, T = top.node_count, env.M, cfg.iterations
-    if kind == "non_cooperative":
-        neighbors = tuple((k,) for k in range(V))
-    else:
-        neighbors = top.neighbors
-    src_e, dst_e = top.edge_arrays()
-    noself = src_e != dst_e
-    links = list(zip(src_e[noself], dst_e[noself]))
-    # cache[k][j]: psi_j as last received at k; the self link is always fresh
-    cache = [{j: np.zeros(M) for j in neighbors[k]} for k in range(V)]
-    inputs, noises = (a[0].T for a in draw_signal_blocks(
-        env, signal_streams(cfg.seed, [realization], V), T))
-    policy_rng = stream_rng(cfg.seed, realization, 0, ROLE_POLICY)
-
-    ests = [
-        NodeEstimator(
-            w=np.zeros(M), psi=np.zeros(M),
-            sigma2={j: 1.0 for j in neighbors[k]},
-            mu_tilde=float(mu_tilde[k]), nu=cfg.env.nu, delta=cfg.env.delta,
-        )
-        for k in range(V)
-    ]
-    weights = [{j: 1.0 / len(neighbors[k]) for j in neighbors[k]} for k in range(V)]
-    adaptive = kind in AS_KINDS
-    if adaptive:
-        samplers = [SamplerState(beta=pol.beta, mu_s=pol.mu_s, alpha_plus=pol.alpha_plus)
-                    for _ in range(V)]
-    delay = [np.zeros(M) for _ in range(V)]
-    w_opt = env.w_opt.copy()
-
-    W_hist = np.empty((T, V, M))
-    s_hist = np.empty((T, V), dtype=int)
-    alpha_hist = np.empty((T, V))
-    comms = {"link": np.zeros(T, dtype=int), "broadcast": np.zeros(T, dtype=int)}
-    for n in range(T):
-        if env.flip_iteration is not None and n == env.flip_iteration:
-            w_opt = -w_opt
-        if adaptive:
-            s = np.array([sm.decide() for sm in samplers])
-        elif kind == "random_sampling":
-            s = draw_sampled_set(pol, V, policy_rng)[0]  # one iteration of the block draw
-        else:
-            s = np.ones(V, dtype=int)
-
-        errors = {}
-        for k in range(V):
-            delay[k][1:] = delay[k][:-1]
-            delay[k][0] = inputs[n, k]
-            d = float(delay[k] @ w_opt) + noises[n, k]
-            if s[k]:
-                errors[k] = compute_error(ests[k], delay[k], d)
-                adapt(ests[k], delay[k], errors[k], 1)
-            elif kind != "as_censoring":
-                adapt(ests[k], delay[k], None, 0)
-            # censoring: psi untouched while idle
-
-        if kind == "probabilistic_transmission":
-            act = draw_active_links(pol.p, src_e[noself], policy_rng)
-            sent = [link for link, on in zip(links, act) if on]
-            for j, k in sent:
-                cache[k][j] = ests[j].psi
-            for k in range(V):
-                cache[k][k] = ests[k].psi
-        else:
-            # censoring: an idle node's stale psi is what its neighbors hold
-            sent = [] if kind == "non_cooperative" else [
-                (j, k) for j, k in links if s[j] or kind != "as_censoring"]
-            for k in range(V):
-                for j in neighbors[k]:
-                    cache[k][j] = ests[j].psi
-        comms["link"][n] = len(sent)
-        comms["broadcast"][n] = len({j for j, _ in sent})
-        for k in range(V):
-            if s[k]:
-                weights[k] = acw_update(ests[k], cache[k])
-        new_w = [combine(cache[k], weights[k]) for k in range(V)]
-        for k in range(V):
-            ests[k].w = new_w[k]
-
-        if adaptive:
-            for k in range(V):
-                for i in neighbors[k]:
-                    if s[i]:
-                        samplers[k].refresh_eps(i, errors[i], 1)
-            for k in range(V):
-                samplers[k].s_bar = int(s[k])
-                samplers[k].update_alpha(weights[k])
-            alpha_hist[n] = [sm.alpha for sm in samplers]
-        else:
-            alpha_hist[n] = 0.0
-        W_hist[n] = np.stack(new_w)
-        s_hist[n] = s
-    return W_hist, s_hist, alpha_hist, comms
-
-
 class TestEngineMatchesPerNodeReference:
     @pytest.mark.parametrize("kind", ["full", "as_sampling", "as_censoring", "random_sampling",
                                       "probabilistic_transmission", "non_cooperative"])
@@ -321,6 +224,25 @@ class TestEngineMatchesPerNodeReference:
         ref_msd = np.array([network_msd(W_ref[n], mat.env.w_opt) for n in range(120)])
         assert series.msd == pytest.approx(ref_msd, rel=1e-8, abs=1e-12)
 
+
+class TestAlphaUpdate:
+    def test_engine_runs_sampling_phi_prime(self, monkeypatch):
+        # C7 checks sampling.phi_prime; this checks that it is the phi' the engine runs
+        import asdnlms.harness as harness
+
+        cfg = make_config(kind="as_sampling", V=6, M=4, iterations=300, seed=3, mu_s=1.0)
+        mat = materialize(cfg)
+        assert not run_realization(cfg, 0, mat).sampled_bitmap.all()
+        calls = []
+
+        def flat(alpha, alpha_plus):
+            calls.append(alpha_plus)
+            return np.zeros_like(phi_prime(alpha, alpha_plus))
+
+        monkeypatch.setattr(harness, "phi_prime", flat)
+        frozen = run_realization(cfg, 0, mat)
+        assert calls == [cfg.policy.alpha_plus] * cfg.iterations
+        assert frozen.sampled_bitmap.all()  # a zero slope keeps every alpha at alpha_plus
 
 
 KINDS = ["full", "as_sampling", "as_censoring", "random_sampling", "probabilistic_transmission",
@@ -492,14 +414,14 @@ class TestMonteCarlo:
 
     def test_validate_config_rejects(self):
         good = make_config(kind="full", V=6, M=5, iterations=100)
-        validate_config(good)
+        materialize(good)
         with pytest.raises(ConfigError):
-            validate_config(replace(good, iterations=0))
+            materialize(replace(good, iterations=0))
         with pytest.raises(ConfigError):
-            validate_config(replace(good, comm_unit="smoke"))
+            materialize(replace(good, comm_unit="smoke"))
         cfg = make_config(kind="random_sampling", V=6, M=5, V_s=7)
         with pytest.raises(ValueError):
-            validate_config(cfg)
+            materialize(cfg)
 
 
 class TestOutputFiles:

@@ -7,12 +7,11 @@ from asdnlms.network import (
     Topology,
     TopologyError,
     build_random_geometric,
-    check_combination_matrix,
     load_edge_list,
-    metropolis_weights,
     save_edge_list,
     uniform_weights,
 )
+from reference import check_combination_matrix, metropolis_weights
 
 
 def scan_invariants(top: Topology):

@@ -4,17 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asdnlms.harness import materialize, run_realization
-from asdnlms.sampling import (
-    PolicyConfig,
-    SamplerState,
-    decide,
-    draw_active_links,
-    draw_sampled_set,
-    phi,
-    phi_prime,
-    update_alpha_value,
-)
+from asdnlms.sampling import PolicyConfig, draw_active_links, draw_sampled_set, phi_prime
 from conftest import make_config
+from reference import SamplerState, decide, phi, update_alpha_value
 
 
 class TestPhi:

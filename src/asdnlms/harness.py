@@ -193,10 +193,14 @@ def run_batch(
 
     Workspace: every array the round loop writes is allocated once per
     call, before the first block, and each iteration writes into it in
-    place (``out=``); an iteration allocates no (B, ...) array apart from
-    the (B * V) column sums of the ACW weights, which ``np.bincount``
-    returns, and, for the adaptive kinds, the (B, V) slope that
-    :func:`sampling.phi_prime` returns.  The workspace is local to the call.
+    place (``out=``).  An iteration allocates only small arrays: the
+    (B * V) column sums of the ACW weights, which ``np.bincount`` returns;
+    for the adaptive kinds, the (B, V) slope :func:`sampling.phi_prime`
+    returns and the temporary of its ``1 + cosh(alpha)``; and, for
+    probabilistic transmission, the indices of the iteration's fresh links
+    and the psi rows they carry.  The ACW variances of all links take one
+    gather of their terms and one product per realization, the recursion's
+    coefficients times the terms.  The workspace is local to the call.
 
     Deterministic: a realization's series is the same, bit for bit, in
     whichever batch it runs.  ``mat`` may be passed to share the
@@ -238,10 +242,10 @@ def run_batch(
     always_tx = pol.kind != "as_censoring"
     by_link = cfg.comm_unit == "link"
 
-    w_opt = env.w_opt.copy()
+    # (B, V, M) and contiguous, so the deviation W - w_opt is one contiguous call
+    w_opt = np.broadcast_to(env.w_opt, (B, V, M)).copy()
     flip_at = env.flip_iteration
     nu = cfg.env.nu
-    keep = 1.0 - nu
     delta = cfg.env.delta
 
     # the workspace; one W suffices, as nothing reads the old W once the
@@ -253,23 +257,39 @@ def run_batch(
     dev_flat = dev.reshape(B, V * M)
     e, g = np.empty((2, B, V))  # the error, and a scratch row per node
     g3 = g[:, :, None]
-    S2e = np.ones((B, E))
-    d2, inv, c, tmp = np.empty((4, B, E))
+    # The ACW recursion sigma2 <- (1 - nu) sigma2 + nu ||x_j - w_k||^2 per link
+    # is coef . terms, one product per realization: per node the terms are
+    # x_j . w_k, ||x_j||^2, ||w_k||^2 and sigma2, per link ||x_j - w_k||^2 and
+    # sigma2.  A product over the flattened batch would round a link's sum
+    # differently depending on where the link falls in the batch.
+    terms = np.empty((2 if per_link else 4, B, E))
+    S2e = terms[-1]
+    S2e[...] = 1.0
+    coef = np.array([-2.0 * nu, nu, nu, 1.0 - nu])[-len(terms):]
+    terms_b = terms.transpose(1, 0, 2)
+    inv, c, tmp = np.empty((3, B, E))
     inv_flat = inv.reshape(B * E)
     if not every:
         s_dst = np.empty((B, E), dtype=bool)  # the sampled-node mask at each link's receiver
     if per_link:
         cache = np.zeros((B, E, M))  # per link: psi_src as last received at dst
+        cache_rows, psi_rows = cache.reshape(B * E, M), PSI.reshape(B * V, M)
+        src_flat = src_rows.ravel()
         # (B, E, M) scratch: a fresh temporary this large every iteration costs
         # more in page faults than the arithmetic done in it
         per_edge = np.empty((B, E, M))
-        fresh = np.empty((B, BLOCK, E), dtype=bool)  # per iteration and link
+        fresh = np.empty((BLOCK, B, E), dtype=bool)  # per iteration and link
         fresh[:, :, ~noself] = True  # the self link is always fresh
     else:
         # per node: the last psi each node transmitted, psi itself when all do
         X = PSI if always_tx else np.zeros((B, V, M))
-        G = np.empty((B, V, V))
-        xx, ww = np.empty((2, B, V))
+        # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2, then ||w_k||^2,
+        # in one buffer, so that one take gathers each link's three terms
+        BVV = B * V * V
+        gram = np.empty(BVV + 2 * B * V)
+        G = gram[:BVV].reshape(B, V, V)
+        xx, ww = gram[BVV:].reshape(2, B, V)
+        gather = np.stack([jk_rows, BVV + src_rows, BVV + B * V + dst_rows])
         C = np.zeros((B, V, V))
         C_flat, CT = C.reshape(B, V * V), C.transpose(0, 2, 1)
     if adaptive:
@@ -313,7 +333,7 @@ def run_batch(
             src_tiled = np.tile(src_ns, L)
             links = np.stack([draw_active_links(pol.p, src_tiled, rng)
                               for rng in policy_rngs]).reshape(B, L, src_ns.size)
-            fresh[:, :L, noself] = links
+            fresh[:L, :, noself] = links.transpose(1, 0, 2)
             comms[blk] = _link_comms(links, src_ns, V, by_link)
 
         for l in range(L):
@@ -336,34 +356,32 @@ def run_batch(
             np.multiply(g3, U, out=PSI)
             PSI += W
 
-            # transmit, and the squared distance ||psi_j - w_k||^2 over each link
+            # transmit, and the ACW terms over each link.  Every take below has
+            # valid indices; mode="clip" spares the copy that "raise" makes of out
             if per_link:
-                np.copyto(cache, PSI.take(src_e, axis=1, out=per_edge),
-                          where=fresh[:, l, :, None])
-                np.subtract(cache, W.take(dst_e, axis=1, out=per_edge), out=per_edge)
-                np.vecdot(per_edge, per_edge, out=d2)
+                fresh_rows = np.flatnonzero(fresh[l])
+                cache_rows[fresh_rows] = psi_rows.take(src_flat.take(fresh_rows), axis=0)
+                np.subtract(cache, W.take(dst_e, axis=1, out=per_edge, mode="clip"),
+                            out=per_edge)
+                np.vecdot(per_edge, per_edge, out=terms[0])
             else:
                 if not always_tx:
                     np.copyto(X, PSI, where=s[:, :, None])
-                np.matmul(X, WT, out=G)  # G[b, j, k] = x_j . w_k
-                np.vecdot(X, X, out=xx).take(src_rows, out=d2)
-                d2 += np.vecdot(W, W, out=ww).take(dst_rows, out=tmp)
-                G.take(jk_rows, out=tmp)
-                tmp *= 2.0
-                d2 -= tmp
+                np.matmul(X, WT, out=G)
+                np.vecdot(X, X, out=xx)
+                np.vecdot(W, W, out=ww)
+                gram.take(gather, out=terms[:3], mode="clip")
 
             # ACW weights of sampled receivers; an idle receiver's come out unchanged
-            d2 *= nu
-            np.multiply(S2e, keep, out=tmp)
-            tmp += d2
+            np.matmul(coef, terms_b, out=tmp)
             if every:
                 np.maximum(tmp, SIGMA2_FLOOR, out=S2e)
             else:
                 np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
-                np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst), tmp)
+                np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst, mode="clip"), tmp)
             np.divide(1.0, S2e, out=inv)
             colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
-            np.divide(inv, colsum.take(dst_rows, out=c), out=c)
+            np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
 
             # combine
             if per_link:
@@ -550,6 +568,7 @@ def build_manifest(cfg: RunConfig, mat: Materialized, steady: dict) -> dict:
 # --- output ------------------------------------------------------------------
 
 CSV_HEADER = "n,msd_db,msd_db_smoothed,sampled,comms,mults,adds"
+CSV_ROW = "%d,%.6f,%.6f,%.6g,%.6g,%.6g,%.6g\n"
 
 
 def write_csv(result: MonteCarloResult, path: str | Path) -> None:
@@ -566,8 +585,12 @@ def write_csv(result: MonteCarloResult, path: str | Path) -> None:
             result.adds,
         ]
     )
-    np.savetxt(path, cols, fmt="%d,%.6f,%.6f,%.6g,%.6g,%.6g,%.6g", header=CSV_HEADER,
-               comments="")
+    # np.savetxt's bytes, formatted from Python floats rather than numpy scalars;
+    # in chunks of rows, so that few of those floats are alive at a time
+    with path.open("w") as f:
+        f.write(CSV_HEADER + "\n")
+        for lo in range(0, len(cols), 256):
+            f.write("".join(CSV_ROW % tuple(row) for row in cols[lo:lo + 256].tolist()))
 
 
 def write_manifest(manifest: dict, path: str | Path) -> None:

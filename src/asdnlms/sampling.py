@@ -10,6 +10,7 @@ eventually re-sampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,13 @@ def phi_prime(alpha, alpha_plus: float = DEFAULT_ALPHA_PLUS):
 
     With sgm(x) = 1 / (1 + e^-x) and span = sgm(alpha_plus) - sgm(-alpha_plus),
     phi(alpha) = (sgm(alpha) - sgm(-alpha_plus)) / span, so
-    phi'(alpha) = sgm(alpha) (1 - sgm(alpha)) / span > 0.  alpha is meant to
-    lie on the clamped range [-alpha_plus, alpha_plus], where e^-alpha cannot
-    overflow.  The engine's alpha update calls this function.
+    phi'(alpha) = sgm(alpha) (1 - sgm(alpha)) / span > 0.  Since
+    sgm(alpha) (1 - sgm(alpha)) = 1 / (2 (1 + cosh alpha)) and
+    span = tanh(alpha_plus / 2), it is computed as
+    (0.5 / tanh(alpha_plus / 2)) / (1 + cosh alpha): three array operations.
+    The engine's alpha update calls this function.
     """
-    s = 1.0 / (1.0 + np.exp(-np.asarray(alpha, dtype=float)))
-    span = 1.0 / (1.0 + np.exp(-alpha_plus)) - 1.0 / (1.0 + np.exp(alpha_plus))
-    return (1.0 - s) * s / span
+    return (0.5 / math.tanh(0.5 * alpha_plus)) / (1.0 + np.cosh(alpha))
 
 
 @dataclass(frozen=True)

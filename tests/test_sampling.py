@@ -42,6 +42,14 @@ class TestPhiPrime:
         grid = np.linspace(-4, 4, 101)
         assert np.all(phi_prime(grid, 4.0) > 0)
 
+    @pytest.mark.parametrize("alpha_plus", [0.5, 1.0, 4.0])
+    def test_cosh_form_matches_sigmoid_form(self, alpha_plus):
+        # phi_prime computes (0.5 / span) / (1 + cosh alpha); this is the slope as defined
+        grid = np.linspace(-alpha_plus, alpha_plus, 401)
+        s = 1.0 / (1.0 + np.exp(-grid))
+        span = 1.0 / (1.0 + np.exp(-alpha_plus)) - 1.0 / (1.0 + np.exp(alpha_plus))
+        assert phi_prime(grid, alpha_plus) == pytest.approx(s * (1.0 - s) / span, rel=1e-13, abs=0)
+
     def test_matches_finite_difference(self):
         h = 1e-5
         grid = np.linspace(-4, 4, 101)

@@ -22,7 +22,6 @@ from pathlib import Path
 from asdnlms import analysis
 from asdnlms.config import ConfigError, parse_config_file
 from asdnlms.harness import (
-    Materialized,
     MonteCarloResult,
     NonFiniteStateError,
     materialize,
@@ -30,7 +29,7 @@ from asdnlms.harness import (
     write_csv,
     write_manifest,
 )
-from asdnlms.presets import DEFAULT_SIGMA2_MAX, PRESET_NAMES, expand_preset
+from asdnlms.presets import PRESET_NAMES, expand_preset
 
 OUT_DIR_ENV = "ASDNLMS_OUT"
 
@@ -70,9 +69,8 @@ def _out_dir(explicit: str | None, fallback: str | None) -> Path:
     return Path(chosen)
 
 
-def _run_one(cfg, out_dir: Path) -> tuple[MonteCarloResult, Materialized]:
-    mat = materialize(cfg)
-    result = monte_carlo(cfg, mat)
+def _run_one(cfg, out_dir: Path) -> MonteCarloResult:
+    result = monte_carlo(cfg, materialize(cfg))
     name = cfg.name()
     write_csv(result, out_dir / f"{name}.csv")
     write_manifest(result.manifest, out_dir / f"{name}.manifest.txt")
@@ -81,7 +79,7 @@ def _run_one(cfg, out_dir: Path) -> tuple[MonteCarloResult, Materialized]:
             f"{name}: steady[{window}] msd={summary['msd_db_smoothed']:.2f} dB "
             f"sampled={summary['sampled']:.2f} comms={summary['comms']:.1f}"
         )
-    return result, mat
+    return result
 
 
 def cmd_run(args) -> int:
@@ -103,14 +101,11 @@ def cmd_preset(args) -> int:
 
     bounds_rows = []
     for cfg in configs:
-        result, mat = _run_one(cfg, out_dir)
+        m = _run_one(cfg, out_dir).manifest
         if args.name == "fig_beta_sweep":
-            env = mat.env
             beta = cfg.policy.beta
-            lo, hi = analysis.sampled_node_bounds(env.V, beta, env.sigma2_min, env.sigma2_max)
-            bounds_rows.append(
-                (beta / DEFAULT_SIGMA2_MAX, beta, lo, hi, result.steady["pre"]["sampled"])
-            )
+            bounds_rows.append((beta / cfg.env.sigma2_v_max, beta, m["predicted.Vs_lower"],
+                                m["predicted.Vs_upper"], m["steady.pre.sampled"]))
     if bounds_rows:
         path = out_dir / "bounds.csv"
         with path.open("w") as f:

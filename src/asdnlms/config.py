@@ -9,6 +9,7 @@ ranges and echoed into the output manifest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,26 +78,26 @@ def check_config(cfg: RunConfig) -> None:
     if t.kind == "random_geometric":
         if t.V < 1:
             raise ConfigError("topology.V must be >= 1")
-        if t.radius <= 0:
+        if not t.radius > 0:
             raise ConfigError("topology.radius must be > 0")
     if t.kind == "edge_list" and not t.edge_list:
         raise ConfigError("topology.edge_list file required for kind=edge_list")
     if e.M < 1:
         raise ConfigError("env.M must be >= 1")
-    if e.sigma2_v is None and not 0 < e.sigma2_v_min <= e.sigma2_v_max:
-        raise ConfigError("noise profile needs 0 < sigma2_v_min <= sigma2_v_max")
-    if e.sigma2_v is not None and any(v < 0 for v in e.sigma2_v):
-        raise ConfigError("explicit sigma2_v entries must be >= 0")
-    if e.sigma2_u <= 0:
-        raise ConfigError("env.sigma2_u must be > 0")
+    if e.sigma2_v is None and not 0 < e.sigma2_v_min <= e.sigma2_v_max < math.inf:
+        raise ConfigError("noise profile needs 0 < sigma2_v_min <= sigma2_v_max < inf")
+    if e.sigma2_v is not None and any(not 0 <= v < math.inf for v in e.sigma2_v):
+        raise ConfigError("explicit sigma2_v entries must be finite and >= 0")
+    if not 0 < e.sigma2_u < math.inf:
+        raise ConfigError("env.sigma2_u must be finite and > 0")
     if e.mu_tilde is None and not 0 < e.mu_tilde_min <= e.mu_tilde_max < 2:
         raise ConfigError("step-size profile needs 0 < mu_tilde_min <= mu_tilde_max < 2")
     if e.mu_tilde is not None and any(not 0 < m < 2 for m in e.mu_tilde):
         raise ConfigError("explicit mu_tilde entries must lie in (0, 2)")
     if not 0 < e.nu <= 1:
         raise ConfigError("env.nu must lie in (0, 1]")
-    if e.delta <= 0:
-        raise ConfigError("env.delta must be > 0")
+    if not 0 < e.delta < math.inf:
+        raise ConfigError("env.delta must be finite and > 0")
     if e.flip_iteration is not None and not 0 < e.flip_iteration < cfg.iterations:
         raise ConfigError("env.flip_iteration must lie strictly inside the run")
     if t.kind != "edge_list":

@@ -131,9 +131,6 @@ class RunSeries:
     sampled_bitmap: np.ndarray  # (T, V) bool: which nodes sampled at each iteration
     states: np.ndarray | None = None  # (T, V, M) combined estimates; debug runs only
 
-    def __len__(self) -> int:
-        return self.msd.shape[-1]
-
     def realization(self, b: int) -> RunSeries:
         return RunSeries(**{f.name: None if getattr(self, f.name) is None
                             else getattr(self, f.name)[b] for f in fields(self)})
@@ -330,9 +327,8 @@ def run_batch(
             for b, rng in enumerate(policy_rngs):
                 bitmap[b, n0:n0 + L] = draw_sampled_set(pol, V, rng, L)
         if per_link:
-            src_tiled = np.tile(src_ns, L)
-            links = np.stack([draw_active_links(pol.p, src_tiled, rng)
-                              for rng in policy_rngs]).reshape(B, L, src_ns.size)
+            links = np.stack([draw_active_links(pol.p, (L, src_ns.size), rng)
+                              for rng in policy_rngs])
             fresh[:L, :, noself] = links.transpose(1, 0, 2)
             comms[blk] = _link_comms(links, src_ns, V, by_link)
 
@@ -466,8 +462,7 @@ def steady_windows(iterations: int, flip_iteration: int | None) -> dict[str, tup
     }
 
 
-def monte_carlo(cfg: RunConfig, mat: Materialized | None = None,
-                smoothing: int = 64) -> MonteCarloResult:
+def monte_carlo(cfg: RunConfig, mat: Materialized | None = None) -> MonteCarloResult:
     """Element-wise mean over the configured realizations, plus summaries."""
     if mat is None:
         mat = materialize(cfg)
@@ -482,7 +477,7 @@ def monte_carlo(cfg: RunConfig, mat: Materialized | None = None,
         acc[k] /= R
 
     msd_db = to_db(acc["msd"])
-    msd_db_smoothed = to_db(moving_average(acc["msd"], smoothing))
+    msd_db_smoothed = to_db(moving_average(acc["msd"]))
 
     windows = steady_windows(T, cfg.env.flip_iteration)
     steady = {}

@@ -76,8 +76,9 @@ class PolicyConfig:
                 raise ValueError(f"policy {self.kind!r} requires parameter {name!r}")
             if name not in required and val is not None:
                 raise ValueError(f"policy {self.kind!r} does not take parameter {name!r}")
-        if self.kind in AS_KINDS and (self.beta <= 0 or self.mu_s <= 0 or self.alpha_plus <= 0):
-            raise ValueError("beta, mu_s and alpha_plus must be > 0")
+        if self.kind in AS_KINDS and not all(0 < v < math.inf
+                                             for v in (self.beta, self.mu_s, self.alpha_plus)):
+            raise ValueError("beta, mu_s and alpha_plus must be finite and > 0")
         if self.kind == "random_sampling" and self.V_s < 1:
             raise ValueError("V_s must be >= 1")
         if self.kind == "probabilistic_transmission" and not 0 <= self.p <= 1:
@@ -90,29 +91,21 @@ class PolicyConfig:
 
 def draw_sampled_set(policy: PolicyConfig, V: int, rng: np.random.Generator,
                      iterations: int = 1) -> np.ndarray:
-    """(iterations, V) sampled-node masks for the non-adaptive policies.
+    """(iterations, V) sampled-node masks of random_sampling.
 
-    full / non_cooperative / probabilistic_transmission sample everyone.
-    random_sampling picks exactly V_s nodes per iteration, uniformly: the
-    V_s smallest of V uniform draws.  All iterations come from one draw
-    of (iterations, V) uniforms, so drawing a run in blocks gives the same
-    subsets as drawing it whole or one iteration at a time.  Adaptive kinds
-    are decided from alpha, not here.
+    Exactly V_s nodes per iteration, uniformly: the V_s smallest of V
+    uniform draws.  All iterations come from one draw of (iterations, V)
+    uniforms, so drawing a run in blocks gives the same subsets as drawing
+    it whole or one iteration at a time.  The other kinds sample every node
+    or decide from alpha, so they draw nothing here.
     """
-    if policy.kind == "random_sampling":
-        u = rng.random((iterations, V))
-        s = np.zeros((iterations, V), dtype=bool)
-        np.put_along_axis(s, np.argpartition(u, policy.V_s - 1, axis=1)[:, :policy.V_s],
-                          True, axis=1)
-        return s
-    if policy.kind in ("full", "non_cooperative", "probabilistic_transmission"):
-        return np.ones((iterations, V), dtype=bool)
-    raise ValueError(f"policy {policy.kind!r} decides sampling adaptively")
+    u = rng.random((iterations, V))
+    s = np.zeros((iterations, V), dtype=bool)
+    np.put_along_axis(s, np.argpartition(u, policy.V_s - 1, axis=1)[:, :policy.V_s],
+                      True, axis=1)
+    return s
 
 
-def draw_active_links(
-    p, src: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Bernoulli activation per directed link, probability indexed by transmitter."""
-    p_arr = np.asarray(p, dtype=float)
-    return rng.random(src.shape[0]) < (p_arr[src] if p_arr.ndim else float(p_arr))
+def draw_active_links(p: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli(p) activation of each directed link, an array of the given shape."""
+    return rng.random(shape) < p

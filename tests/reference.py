@@ -405,7 +405,7 @@ def reference_run(cfg, realization, mat):
             # censoring: psi untouched while idle
 
         if kind == "probabilistic_transmission":
-            act = draw_active_links(pol.p, src_e[noself], policy_rng)
+            act = draw_active_links(pol.p, len(links), policy_rng)
             sent = [link for link, on in zip(links, act) if on]
             for j, k in sent:
                 cache[k][j] = ests[j].psi

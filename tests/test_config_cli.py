@@ -1,6 +1,11 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from asdnlms.analysis import sampled_node_bounds
 from asdnlms.cli import main
 from asdnlms.config import ConfigError, parse_config_file, parse_config_text
 from asdnlms.harness import materialize
@@ -24,6 +29,16 @@ run.iterations = 120
 run.realizations = 2
 run.seed = 5
 """
+
+
+def with_key(text: str, key: str, value: str) -> str:
+    """The config text with `key` set to `value`, replacing any line of that key."""
+    kept = [line for line in text.splitlines() if line.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+def read_manifest(path) -> dict[str, str]:
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
 
 
 class TestConfigParsing:
@@ -90,6 +105,12 @@ class TestPresets:
     def test_defaults_embedded(self):
         for name in PRESET_NAMES:
             for cfg in expand_preset(name):
+                assert cfg.topology.kind == "random_geometric"
+                assert cfg.topology.V == 20
+                assert cfg.topology.radius == 0.35
+                assert (cfg.env.sigma2_v_min, cfg.env.sigma2_v_max) == (0.1, 0.4)
+                assert (cfg.env.mu_tilde_min, cfg.env.mu_tilde_max) == (0.2, 1.0)
+                assert cfg.env.sigma2_u == 1.0
                 assert cfg.env.nu == 0.2
                 assert cfg.env.delta == 1e-5
                 assert cfg.env.M == 50
@@ -129,6 +150,25 @@ class TestCli:
         path.write_text(GOOD_CONFIG + "\nrun.comm_unit = bogus\n")
         assert main(["validate", "--config", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["policy.beta", "policy.mu_s", "policy.alpha_plus",
+                                     "env.delta", "env.sigma2_u", "env.sigma2_v_max",
+                                     "env.sigma2_v"])
+    def test_validate_rejects_non_finite(self, key, value, tmp_path, capsys):
+        if key == "env.sigma2_v":
+            value = f"0.1,{value},0.3,0.4,0.2,0.1"
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(GOOD_CONFIG, key, value))
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error" in err and "duplicate" not in err and "bad value" not in err
+
+    def test_validate_rejects_nan_radius_before_drawing_graphs(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(GOOD_CONFIG, "topology.radius", "nan"))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "topology.radius must be > 0" in capsys.readouterr().err
 
     def test_validate_rejects_empty_edge_list(self, tmp_path, capsys):
         edges = tmp_path / "empty.edges"
@@ -222,6 +262,14 @@ class TestCli:
         bounds = (out / "bounds.csv").read_text().splitlines()
         assert bounds[0] == "beta_ratio,beta,vs_lower,vs_upper,measured_steady_sampled"
         assert len(bounds) == 1 + len(BETA_RATIOS)
+        for ratio, row in zip(BETA_RATIOS, bounds[1:]):
+            beta_ratio, _, vs_lower, vs_upper, _ = row.split(",")
+            assert float(beta_ratio) == ratio
+            m = read_manifest(out / f"beta_{ratio:g}x.manifest.txt")
+            lo, hi = sampled_node_bounds(int(m["topology.V"]), float(m["policy.beta"]),
+                                         float(m["drawn.sigma2_v_min"]),
+                                         float(m["drawn.sigma2_v_max"]))
+            assert (vs_lower, vs_upper) == (f"{lo:.6g}", f"{hi:.6g}")
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_materializes_each_variant_once(self, name, tmp_path, monkeypatch):
@@ -305,3 +353,18 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert "length V=5" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_perfbench_traced_names_resolve():
+    """Every (module, attribute) pair perfbench's tracer wraps exists in asdnlms."""
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    tables = {node.targets[0].id: node.value for node in ast.parse(run_py.read_text()).body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("OUTER", "INNER")}
+    assert set(tables) == {"OUTER", "INNER"}
+    pairs = [(row.elts[0].value, row.elts[1].value)
+             for table in tables.values() for row in table.elts]
+    assert pairs
+    for module, attr in pairs:
+        assert module in ("cli", "harness")
+        assert hasattr(importlib.import_module(f"asdnlms.{module}"), attr), (module, attr)

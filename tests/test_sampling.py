@@ -195,13 +195,10 @@ class TestBaselines:
         pol = PolicyConfig(kind="random_sampling", V_s=10)
         assert np.all(draw_sampled_set(pol, 10, rng) == 1)
 
-    def test_full_always_ones(self, rng):
-        assert np.all(draw_sampled_set(PolicyConfig(kind="full"), 6, rng) == 1)
-
     def test_active_links_extremes(self, rng):
-        src = np.array([0, 0, 1, 2, 2, 3])
-        assert not draw_active_links(0.0, src, rng).any()
-        assert draw_active_links(1.0, src, rng).all()
+        assert not draw_active_links(0.0, (3, 6), rng).any()
+        assert draw_active_links(1.0, (3, 6), rng).all()
+        assert draw_active_links(0.5, (3, 6), rng).shape == (3, 6)
 
 
 class TestCycleStructure:

@@ -175,8 +175,8 @@ def run_batch(
     node, a node transmits iff it samples (``as_censoring``) or always, and
     every node combines the last psi each neighbor transmitted, its own
     included.  Per link (``probabilistic_transmission``), each directed
-    link carries psi with probability p into an edge cache.  A link
-    communication is one active directed link; a broadcast is one node
+    link carries psi with probability p into the receiver's link cache.  A
+    link communication is one active directed link; a broadcast is one node
     that reaches at least one neighbor.
 
     Signals are drawn in blocks of BLOCK iterations; each block's
@@ -190,14 +190,24 @@ def run_batch(
 
     Workspace: every array the round loop writes is allocated once per
     call, before the first block, and each iteration writes into it in
-    place (``out=``).  An iteration allocates only small arrays: the
-    (B * V) column sums of the ACW weights, which ``np.bincount`` returns;
-    for the adaptive kinds, the (B, V) slope :func:`sampling.phi_prime`
-    returns and the temporary of its ``1 + cosh(alpha)``; and, for
-    probabilistic transmission, the indices of the iteration's fresh links
-    and the psi rows they carry.  The ACW variances of all links take one
-    gather of their terms and one product per realization, the recursion's
-    coefficients times the terms.  The workspace is local to the call.
+    place (``out=``).  The link cache of probabilistic transmission is
+    padded, (B, V, D, M) with D = max |N_k|: receiver k's links fill its
+    first |N_k| slots in edge order, and a pad slot is never fresh, holds
+    zeros and gets weight 0 through the 0/1 numerator of its inverse
+    variance.  Its ACW terms take the per-node Gram form, with a batched
+    ``cache . w_k`` product and a per-slot ``||x_j||^2`` refreshed with the
+    cache, and its combine is one batched (1 x D) @ (D x M) product per
+    receiver divided by the weights' sum.  Both products cost
+    O(B V D M), so a graph with one hub pays for padding at every node.
+    An iteration allocates only small arrays: per node, the (B * V) column
+    sums of the ACW weights, which ``np.bincount`` returns; for the
+    adaptive kinds, the (B, V) slope :func:`sampling.phi_prime` returns
+    and the temporary of its ``1 + cosh(alpha)``; and, per link, the
+    indices of the iteration's fresh slots and their transmitters, and the
+    psi rows and squared norms they carry.  The ACW variances of all links
+    take one product per realization, the recursion's coefficients
+    ``[-2 nu, nu, nu, 1 - nu]`` times the terms.  The workspace is local to
+    the call.
 
     Deterministic: a realization's series is the same, bit for bit, in
     whichever batch it runs.  ``mat`` may be passed to share the
@@ -220,7 +230,6 @@ def run_batch(
         src_e, dst_e = top.edge_arrays()
     E = src_e.size
     deg = np.bincount(dst_e, minlength=V)
-    seg_start = np.cumsum(deg) - deg  # edges are grouped by receiver
     noself = src_e != dst_e
     src_ns = src_e[noself]
     out_deg = np.bincount(src_ns, minlength=V)
@@ -238,6 +247,8 @@ def run_batch(
     per_link = pol.kind == "probabilistic_transmission"
     always_tx = pol.kind != "as_censoring"
     by_link = cfg.comm_unit == "link"
+    D = int(deg.max())
+    N = V * D if per_link else E  # the ACW terms: per link slot, or per link
 
     # (B, V, M) and contiguous, so the deviation W - w_opt is one contiguous call
     w_opt = np.broadcast_to(env.w_opt, (B, V, M)).copy()
@@ -255,29 +266,45 @@ def run_batch(
     e, g = np.empty((2, B, V))  # the error, and a scratch row per node
     g3 = g[:, :, None]
     # The ACW recursion sigma2 <- (1 - nu) sigma2 + nu ||x_j - w_k||^2 per link
-    # is coef . terms, one product per realization: per node the terms are
-    # x_j . w_k, ||x_j||^2, ||w_k||^2 and sigma2, per link ||x_j - w_k||^2 and
-    # sigma2.  A product over the flattened batch would round a link's sum
-    # differently depending on where the link falls in the batch.
-    terms = np.empty((2 if per_link else 4, B, E))
-    S2e = terms[-1]
+    # (or link slot) is coef . terms, one product per realization; the terms
+    # are x_j . w_k, ||x_j||^2, ||w_k||^2 and sigma2.  A product over the
+    # flattened batch would round a link's sum differently depending on where
+    # the link falls in the batch.
+    terms = np.zeros((4, B, N))  # a link slot's ||x_j||^2 is 0 before its first delivery
+    S2e = terms[3]
     S2e[...] = 1.0
-    coef = np.array([-2.0 * nu, nu, nu, 1.0 - nu])[-len(terms):]
+    coef = np.array([-2.0 * nu, nu, nu, 1.0 - nu])
     terms_b = terms.transpose(1, 0, 2)
-    inv, c, tmp = np.empty((3, B, E))
-    inv_flat = inv.reshape(B * E)
+    inv, tmp = np.empty((2, B, N))
     if not every:
         s_dst = np.empty((B, E), dtype=bool)  # the sampled-node mask at each link's receiver
     if per_link:
-        cache = np.zeros((B, E, M))  # per link: psi_src as last received at dst
-        cache_rows, psi_rows = cache.reshape(B * E, M), PSI.reshape(B * V, M)
-        src_flat = src_rows.ravel()
-        # (B, E, M) scratch: a fresh temporary this large every iteration costs
-        # more in page faults than the arithmetic done in it
-        per_edge = np.empty((B, E, M))
-        fresh = np.empty((BLOCK, B, E), dtype=bool)  # per iteration and link
-        fresh[:, :, ~noself] = True  # the self link is always fresh
+        # D slots per receiver: receiver k's links fill its first |N_k| slots in
+        # edge order (edges are grouped by receiver); a pad slot is never fresh,
+        # holds zeros and gets weight 0
+        slot = dst_e * D + np.arange(E) - (np.cumsum(deg) - deg)[dst_e]
+        valid = np.zeros(N)
+        valid[slot] = 1.0
+        src_slot = np.zeros(N, dtype=np.int64)
+        src_slot[slot] = src_e
+        # per receiver and slot: psi_src as last received, and its squared norm
+        cache = np.zeros((B, V, D, M))
+        cache_rows, psi_rows = cache.reshape(B * N, M), PSI.reshape(B * V, M)
+        src_flat = (rows * V + src_slot).ravel()
+        xw = terms[0].reshape(B, V, D, 1)
+        xx_flat = terms[1].reshape(B * N)
+        ww_slots = terms[2].reshape(B, V, D)
+        W_col, W_row = W[:, :, :, None], W[:, :, None, :]
+        psi2, ww, colsum = np.empty((3, B, V))
+        psi2_flat, colsum3 = psi2.reshape(B * V), colsum[:, :, None]
+        inv_row, inv_slots = inv.reshape(B, V, 1, D), inv.reshape(B, V, D)
+        ones_D = np.ones(D)
+        fresh = np.zeros((BLOCK, B, N), dtype=bool)  # per iteration and slot
+        fresh[:, :, slot[~noself]] = True  # the self link is always fresh
+        slot_ns = slot[noself]
     else:
+        c = np.empty((B, E))
+        inv_flat = inv.reshape(B * E)
         # per node: the last psi each node transmitted, psi itself when all do
         X = PSI if always_tx else np.zeros((B, V, M))
         # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2, then ||w_k||^2,
@@ -329,7 +356,7 @@ def run_batch(
         if per_link:
             links = np.stack([draw_active_links(pol.p, (L, src_ns.size), rng)
                               for rng in policy_rngs])
-            fresh[:L, :, noself] = links.transpose(1, 0, 2)
+            fresh[:L, :, slot_ns] = links.transpose(1, 0, 2)
             comms[blk] = _link_comms(links, src_ns, V, by_link)
 
         for l in range(L):
@@ -356,10 +383,13 @@ def run_batch(
             # valid indices; mode="clip" spares the copy that "raise" makes of out
             if per_link:
                 fresh_rows = np.flatnonzero(fresh[l])
-                cache_rows[fresh_rows] = psi_rows.take(src_flat.take(fresh_rows), axis=0)
-                np.subtract(cache, W.take(dst_e, axis=1, out=per_edge, mode="clip"),
-                            out=per_edge)
-                np.vecdot(per_edge, per_edge, out=terms[0])
+                fresh_src = src_flat.take(fresh_rows)
+                cache_rows[fresh_rows] = psi_rows.take(fresh_src, axis=0)
+                np.vecdot(PSI, PSI, out=psi2)
+                xx_flat[fresh_rows] = psi2_flat.take(fresh_src)
+                np.matmul(cache, W_col, out=xw)
+                np.vecdot(W, W, out=ww)
+                np.copyto(ww_slots, ww[:, :, None])
             else:
                 if not always_tx:
                     np.copyto(X, PSI, where=s[:, :, None])
@@ -375,15 +405,18 @@ def run_batch(
             else:
                 np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
                 np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst, mode="clip"), tmp)
-            np.divide(1.0, S2e, out=inv)
-            colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
-            np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
 
-            # combine
+            # combine: per link, the weighted sum over a receiver's slots divided
+            # by the sum of its weights; per node, the combination matrix C
             if per_link:
-                np.add.reduceat(np.multiply(c[:, :, None], cache, out=per_edge),
-                                seg_start, axis=1, out=W)
+                np.divide(valid, S2e, out=inv)
+                np.matmul(inv_slots, ones_D, out=colsum)
+                np.matmul(inv_row, cache, out=W_row)
+                W /= colsum3
             else:
+                np.divide(1.0, S2e, out=inv)
+                colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
+                np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
                 C_flat[:, jk] = c
                 np.matmul(CT, X, out=W)
 

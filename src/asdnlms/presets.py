@@ -13,7 +13,7 @@ tracks re-convergence.
 
 from __future__ import annotations
 
-from asdnlms.config import EnvSpec, RunConfig, TopologySpec
+from asdnlms.config import ConfigError, EnvSpec, RunConfig, TopologySpec
 from asdnlms.sampling import PolicyConfig
 
 AS_BETA = 0.68
@@ -54,6 +54,9 @@ def expand_preset(name: str, seed: int = 1, realizations: int = RunConfig.realiz
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     flip, variants = PRESETS[name]
+    if flip and iterations < 2:
+        raise ConfigError(f"preset {name} flips at mid-run, so iterations must be at least 2, "
+                          f"got {iterations}")
     env = EnvSpec(flip_iteration=iterations // 2 if flip else None)
     return [RunConfig(TopologySpec(), env, policy, iterations=iterations,
                       realizations=realizations, seed=seed, out_dir=out_dir, label=label)

@@ -5,7 +5,8 @@ numbers.  The expensive Monte Carlo campaigns are shared, module-scoped
 fixtures; realization counts for the campaigns that do not pin one are
 chosen for runtime (documented per test) without touching any threshold.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see every line.
+Run with `pytest tests/test_acceptance.py -v -s` to see every line.  Every
+test here carries the `acceptance` marker.
 """
 
 import inspect
@@ -34,6 +35,9 @@ SIGMA2_MAX_CFG = 0.4
 BETA = 0.68
 MU_S = 0.1571
 BETA_RATIOS = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 10.0)
+
+# `pytest -m "not acceptance"` runs the fast suite without these campaigns
+pytestmark = pytest.mark.acceptance
 
 
 def report(cid: str, ok: bool, detail: str) -> bool:

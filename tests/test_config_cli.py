@@ -254,6 +254,20 @@ class TestCli:
         assert names == ["as_dnlms.csv", "as_dnlms_censoring.csv", "dnlms_full.csv",
                          "non_cooperative.csv", "pt_dnlms.csv"]
 
+    @pytest.mark.parametrize("name", ["fig_msd_cost", "fig_censoring"])
+    def test_flipped_preset_rejects_one_iteration(self, name, tmp_path, capsys):
+        rc = main(["preset", name, "--iterations", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "iterations must be at least 2" in err
+        assert "flip_iteration" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_unflipped_preset_runs_one_iteration(self, tmp_path):
+        rc = main(["preset", "fig_beta_sweep", "--realizations", "1", "--iterations", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+
     def test_preset_beta_sweep_writes_bounds(self, tmp_path):
         out = tmp_path / "sweep"
         rc = main(["preset", "fig_beta_sweep", "--seed", "3", "--realizations", "1",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asdnlms.config import ConfigError
+from asdnlms.config import ConfigError, TopologySpec
 from asdnlms.harness import (
     BLOCK,
     CHUNK,
@@ -345,6 +345,41 @@ class TestBatchEngine:
         cfg = make_config(kind=kind, V=V, M=M, iterations=T, seed=seed, radius=radius,
                           flip=T // 2 if flip and T > 1 else None, **params)
         assert_matches_reference(replace(cfg, comm_unit=unit), realization)
+
+
+class TestPaddedLinkSlots:
+    """Probabilistic transmission on a graph whose slots are mostly padding."""
+
+    @pytest.fixture
+    def hub_and_chain(self, tmp_path):
+        # node 0 reaches nodes 1..12, and nodes 12..23 form a chain: D = 13
+        # slots per receiver for E = 70 links, V * D / E = 4.5
+        links = [(0, k) for k in range(1, 13)] + [(k, k + 1) for k in range(12, 23)]
+        path = tmp_path / "hub_chain.edges"
+        path.write_text("24\n" + "".join(f"{j} {k}\n" for j, k in links))
+        return TopologySpec(kind="edge_list", edge_list=str(path))
+
+    def _config(self, topology, unit):
+        cfg = make_config(kind="probabilistic_transmission", M=4, iterations=BLOCK + 40,
+                          seed=13, flip=BLOCK // 2, p=0.4)
+        return replace(cfg, topology=topology, comm_unit=unit)
+
+    @pytest.mark.parametrize("unit", ["link", "broadcast"])
+    def test_matches_reference(self, hub_and_chain, unit):
+        cfg = self._config(hub_and_chain, unit)
+        deg = materialize(cfg).topology.degrees()
+        assert deg.size * deg.max() / deg.sum() > 4
+        assert_matches_reference(cfg, realization=1)
+
+    @pytest.mark.parametrize("unit", ["link", "broadcast"])
+    def test_batch_of_eight_matches_single_runs(self, hub_and_chain, unit):
+        cfg = self._config(hub_and_chain, unit)
+        mat = materialize(cfg)
+        batch = run_batch(cfg, range(8), mat)
+        for r in range(8):
+            single = run_realization(cfg, r, mat)
+            for name in SERIES:
+                assert np.array_equal(getattr(batch, name)[r], getattr(single, name)), name
 
 
 class TestWorkspace:

@@ -10,6 +10,7 @@ from asdnlms.analysis import predict, sampled_node_bounds
 from asdnlms.config import ConfigError, RunConfig, parse_config_file
 from asdnlms.harness import (
     NonFiniteStateError,
+    group_variants,
     materialize,
     monte_carlo,
     write_csv,
@@ -33,6 +34,7 @@ __all__ = [
     "save_edge_list",
     "materialize",
     "monte_carlo",
+    "group_variants",
     "write_csv",
     "write_manifest",
     "NonFiniteStateError",

@@ -1,15 +1,17 @@
 """Closed-form steady-state predictions and the network operation-cost model.
 
-Everything here is a pure function of (V, beta, sigma2_min, sigma2_max) or
-of per-iteration sampling states.  The sampling step size mu_s is absent
-from every prediction by construction: the expected number of sampled
-nodes does not depend on it.
+Everything here is a pure function of (V, beta, sigma2_min, sigma2_max), of
+the per-node step-size and noise profiles, or of per-iteration sampling
+states.  The sampling step size mu_s is absent from every prediction by
+construction: the expected number of sampled nodes does not depend on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def beta_admissible(beta: float, sigma2_max: float) -> bool:
@@ -100,6 +102,25 @@ def predict(V: int, beta: float, sigma2_min: float, sigma2_max: float) -> Steady
         Vs_lower=vs_lo,
         Vs_upper=vs_hi,
     )
+
+
+def nlms_steady_msd(mu_tilde, sigma2_v, sigma2_u, M: int) -> float:
+    """Steady-state network MSD of non-cooperative NLMS with white Gaussian regressors.
+
+    The mean over nodes of the NLMS misadjustment
+
+        mu_k sigma2_v,k M / ((2 - mu_k) (M - 2) sigma2_u,k),
+
+    with ``mu_k`` the normalized step size mu_tilde_k.  The factor
+    M / (M - 2) is E[1 / ||u||^2] M sigma2_u for a Gaussian regressor of M
+    taps, which exists only for M > 2.  Arguments are per-node arrays (or
+    scalars); the result is a linear MSD, not dB.
+    """
+    if M <= 2:
+        raise ValueError(f"the NLMS steady state needs M > 2, got M={M}")
+    mu = np.asarray(mu_tilde, dtype=float)
+    msd = mu * np.asarray(sigma2_v) * M / ((2.0 - mu) * (M - 2) * np.asarray(sigma2_u))
+    return float(np.mean(msd))
 
 
 # --- operation-cost model ---------------------------------------------------

@@ -24,6 +24,8 @@ from asdnlms.config import ConfigError, parse_config_file
 from asdnlms.harness import (
     MonteCarloResult,
     NonFiniteStateError,
+    VariantGroup,
+    group_variants,
     materialize,
     monte_carlo,
     write_csv,
@@ -69,8 +71,8 @@ def _out_dir(explicit: str | None, fallback: str | None) -> Path:
     return Path(chosen)
 
 
-def _run_one(cfg, out_dir: Path) -> MonteCarloResult:
-    result = monte_carlo(cfg, materialize(cfg))
+def _run_one(cfg, out_dir: Path, group: VariantGroup | None = None) -> MonteCarloResult:
+    result = monte_carlo(cfg, materialize(cfg), group)
     name = cfg.name()
     write_csv(result, out_dir / f"{name}.csv")
     write_manifest(result.manifest, out_dir / f"{name}.manifest.txt")
@@ -100,8 +102,8 @@ def cmd_preset(args) -> int:
     out_dir = _out_dir(args.out, configs[0].out_dir or f"results/{args.name}")
 
     bounds_rows = []
-    for cfg in configs:
-        m = _run_one(cfg, out_dir).manifest
+    for cfg, group in zip(configs, group_variants(configs)):
+        m = _run_one(cfg, out_dir, group).manifest
         if args.name == "fig_beta_sweep":
             beta = cfg.policy.beta
             bounds_rows.append((beta / cfg.env.sigma2_v_max, beta, m["predicted.Vs_lower"],

@@ -71,6 +71,8 @@ def check_config(cfg: RunConfig) -> None:
     t, e = cfg.topology, cfg.env
     if cfg.iterations < 1 or cfg.realizations < 1:
         raise ConfigError("iterations and realizations must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {cfg.seed}")
     if cfg.comm_unit not in COMM_UNITS:
         raise ConfigError(f"comm_unit must be one of {COMM_UNITS}")
     if t.kind not in ("random_geometric", "edge_list"):

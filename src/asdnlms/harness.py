@@ -8,9 +8,9 @@ A realization executes the synchronous round loop
 for the configured number of iterations, recording per-iteration network
 MSD, sampled nodes and communications; the operation counts follow from the
 sampled nodes through the :mod:`analysis` cost model.  Realizations are
-independent: a campaign runs them in batches of CHUNK, one loop over
-(B, V, M) arrays, and aggregation is an element-wise mean in realization
-order.
+independent: a campaign runs the (variant, realization) rows of a group of
+same-kind variants in batches of CHUNK, one loop over (B, V, M) arrays,
+and aggregation is an element-wise mean per variant in realization order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -18,7 +18,7 @@ policies see identical signal streams — paired comparisons stay paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +148,11 @@ CHUNK = 8
 
 
 class NonFiniteStateError(RuntimeError):
-    """A realization's network MSD became NaN or infinite."""
+    """A realization's network MSD became NaN or infinite; ``row`` is its batch row."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 def run_realization(
@@ -166,8 +170,16 @@ def run_batch(
     realizations,
     mat: Materialized | None = None,
     record_states: bool = False,
+    policies=None,
 ) -> RunSeries:
     """Run seeded realizations side by side, on (B, V, M) state.
+
+    Row b runs realization ``realizations[b]`` under ``policies[b]``, or
+    under ``cfg.policy`` when ``policies`` is None.  The rows' policies
+    share one kind and one alpha_plus; beta and mu_s enter the alpha update
+    as (B, 1) columns, and V_s and p are read per row where a block's masks
+    are drawn.  Rows of one realization see the same signals: the block is
+    drawn and windowed once per distinct realization and copied to its rows.
 
     A policy is data fixed before the loop: its edge set (self-loops only
     for ``non_cooperative``), its sampler (alpha >= 0 for the adaptive
@@ -217,11 +229,21 @@ def run_batch(
     if mat is None:
         mat = materialize(cfg)
     top, env, mu_tilde = mat.topology, mat.env, mat.mu_tilde
-    pol = cfg.policy
     rs = list(realizations)
     B, V, M, T = len(rs), top.node_count, env.M, cfg.iterations
+    pols = [cfg.policy] * B if policies is None else list(policies)
+    pol = pols[0]
+    if len(pols) != B or any((p.kind, p.alpha_plus) != (pol.kind, pol.alpha_plus)
+                             for p in pols):
+        raise ValueError("a batch needs one policy per row, all of one kind and one alpha_plus")
+    for p in pols:
+        p.validate_for(V)
 
-    streams = signal_streams(cfg.seed, rs, V)
+    # the signal streams of each distinct realization, and each row's
+    distinct = list(dict.fromkeys(rs))
+    shared = len(distinct) < B
+    row_signal = np.array([distinct.index(r) for r in rs])
+    streams = signal_streams(cfg.seed, distinct, V)
     policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
 
     if pol.kind == "non_cooperative":  # the self-loop-only graph
@@ -321,7 +343,8 @@ def run_batch(
         pp = np.empty((B, V))
         eps2, q = np.zeros((2, B, V, 1))  # columns for the (V, V) @ (V, 1) product
         q0 = q[:, :, 0]
-        mu_s, beta, alpha_plus = pol.mu_s, pol.beta, pol.alpha_plus
+        mu_s, beta = (np.array([[getattr(p, k)] for p in pols]) for k in ("mu_s", "beta"))
+        alpha_plus = pol.alpha_plus
 
     msd = np.empty((B, T))
     sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
@@ -331,12 +354,19 @@ def run_batch(
     # comms of a transmitting node: its out-links, or one broadcast if it has any
     unit = (out_deg if by_link else out_deg > 0).astype(np.int64)
     states = np.empty((B, T, V, M)) if record_states else None
-    taps = np.zeros((B, V, BLOCK + M - 1))  # a block's inputs and the M-1 before, newest first
+    # a block's inputs and the M-1 before, newest first, per distinct realization
+    taps = np.zeros((len(distinct), V, BLOCK + M - 1))
+    if shared:  # the rows' copies of a block
+        rows_taps = np.empty((B, V, BLOCK + M - 1))
+        d_rows, mu_rows = np.empty((2, B, V, BLOCK))
+    else:
+        rows_taps = taps
 
     for n0 in range(0, T, BLOCK):
         L = min(BLOCK, T - n0)
         blk = np.s_[:, n0:n0 + L]
         # the block's references d and step sizes mu, (B, V, L), computed in place
+        # per distinct realization and then copied to the rows that share it
         work, d_blk = draw_signal_blocks(env, streams, L)
         taps[:, :, L:L + M - 1] = taps[:, :, :M - 1]
         taps[:, :, :L] = work[:, :, ::-1]
@@ -349,13 +379,17 @@ def run_batch(
         uu = np.vecdot(win, win, out=work)
         uu += delta
         mu_blk = np.divide(mu_tilde[:, None], uu, out=uu)[:, :, ::-1]
+        if shared:
+            taps.take(row_signal, axis=0, out=rows_taps, mode="clip")
+            d_blk = d_blk.take(row_signal, axis=0, out=d_rows[:, :, :L], mode="clip")
+            mu_blk = mu_blk.take(row_signal, axis=0, out=mu_rows[:, :, :L], mode="clip")
         # the block's masks
         if random_subset:
-            for b, rng in enumerate(policy_rngs):
-                bitmap[b, n0:n0 + L] = draw_sampled_set(pol, V, rng, L)
+            for b, (p, rng) in enumerate(zip(pols, policy_rngs)):
+                bitmap[b, n0:n0 + L] = draw_sampled_set(p, V, rng, L)
         if per_link:
-            links = np.stack([draw_active_links(pol.p, (L, src_ns.size), rng)
-                              for rng in policy_rngs])
+            links = np.stack([draw_active_links(p.p, (L, src_ns.size), rng)
+                              for p, rng in zip(pols, policy_rngs)])
             fresh[:L, :, slot_ns] = links.transpose(1, 0, 2)
             comms[blk] = _link_comms(links, src_ns, V, by_link)
 
@@ -370,7 +404,7 @@ def run_batch(
                 np.greater_equal(alpha, 0, out=s)
 
             # adapt: psi = w + (mu e s) u
-            U = taps[:, :, L - 1 - l:L - 1 - l + M]
+            U = rows_taps[:, :, L - 1 - l:L - 1 - l + M]
             np.vecdot(U, W, out=e)
             np.subtract(d_blk[:, :, l], e, out=e)
             np.multiply(mu_blk[:, :, l], e, out=g)
@@ -442,7 +476,7 @@ def run_batch(
         if bad.any():
             b, l = np.argwhere(bad)[0]
             raise NonFiniteStateError(
-                f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}")
+                f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}", b)
 
         # the block's counters, from its sampled nodes
         bits = bitmap[blk]
@@ -495,19 +529,79 @@ def steady_windows(iterations: int, flip_iteration: int | None) -> dict[str, tup
     }
 
 
-def monte_carlo(cfg: RunConfig, mat: Materialized | None = None) -> MonteCarloResult:
-    """Element-wise mean over the configured realizations, plus summaries."""
+def _group_key(cfg: RunConfig) -> tuple:
+    """What the variants of one group share: all but the label and the row parameters."""
+    return replace(cfg, label=None, policy=None), cfg.policy.kind, cfg.policy.alpha_plus
+
+
+class VariantGroup:
+    """Variants that run as the rows of shared batches.
+
+    The variants agree on everything except their label and the policy
+    parameters a batch row may vary (beta, mu_s, V_s, p).  Rows are
+    (variant, realization) pairs in variant-major order, run in batches of
+    CHUNK; each variant sums its own rows in realization order, so its
+    means are bit-identical to those of a group of one.  The rows run
+    lazily, on the first call of :meth:`means`, on the network passed to
+    it, which every variant of the group shares.
+    """
+
+    def __init__(self, configs):
+        self.configs = list(configs)
+        if len({_group_key(c) for c in self.configs}) != 1:
+            raise ValueError("the variants of a group may differ only in label, beta, mu_s, "
+                             "V_s and p")
+        self._means = None
+
+    def means(self, cfg: RunConfig, mat: Materialized) -> dict[str, np.ndarray]:
+        """``cfg``'s per-iteration means over its realizations, one (T,) array per series."""
+        if self._means is None:
+            self._means = self._run(mat)
+        return self._means[self.configs.index(cfg)]
+
+    def _run(self, mat: Materialized) -> list[dict[str, np.ndarray]]:
+        cfg = self.configs[0]
+        T, R = cfg.iterations, cfg.realizations
+        rows = [(i, r) for i in range(len(self.configs)) for r in range(R)]
+        acc = [{k: np.zeros(T) for k in ("msd", "sampled", "comms", "mults", "adds")}
+               for _ in self.configs]
+        for first in range(0, len(rows), CHUNK):
+            chunk = rows[first:first + CHUNK]
+            try:
+                batch = run_batch(cfg, [r for _, r in chunk], mat,
+                                  policies=[self.configs[i].policy for i, _ in chunk])
+            except NonFiniteStateError as exc:  # name the variant, which may not be cfg
+                raise NonFiniteStateError(f"{self.configs[chunk[exc.row][0]].name()}, {exc}",
+                                          exc.row) from exc
+            for b, (i, _) in enumerate(chunk):  # in realization order, whatever CHUNK is
+                for k, a in acc[i].items():
+                    a += getattr(batch, k)[b]
+        for a in acc:
+            for v in a.values():
+                v /= R
+        return acc
+
+
+def group_variants(configs) -> list[VariantGroup]:
+    """The group of each config: configs that may share batches share one group."""
+    keyed: dict[tuple, list[RunConfig]] = {}
+    for cfg in configs:
+        keyed.setdefault(_group_key(cfg), []).append(cfg)
+    groups = {key: VariantGroup(members) for key, members in keyed.items()}
+    return [groups[_group_key(cfg)] for cfg in configs]
+
+
+def monte_carlo(cfg: RunConfig, mat: Materialized | None = None,
+                group: VariantGroup | None = None) -> MonteCarloResult:
+    """Element-wise mean over the configured realizations, plus summaries.
+
+    ``group``, which holds ``cfg``, runs ``cfg``'s realizations together
+    with its other variants; without it ``cfg`` is a group of one.
+    """
     if mat is None:
         mat = materialize(cfg)
-    T, R = cfg.iterations, cfg.realizations
-    acc = {k: np.zeros(T) for k in ("msd", "sampled", "comms", "mults", "adds")}
-    for first in range(0, R, CHUNK):
-        batch = run_batch(cfg, range(first, min(first + CHUNK, R)), mat)
-        for b in range(batch.msd.shape[0]):  # in realization order, whatever CHUNK is
-            for k in acc:
-                acc[k] += getattr(batch, k)[b]
-    for k in acc:
-        acc[k] /= R
+    T = cfg.iterations
+    acc = (group or VariantGroup([cfg])).means(cfg, mat)
 
     msd_db = to_db(acc["msd"])
     msd_db_smoothed = to_db(moving_average(acc["msd"]))
@@ -584,6 +678,11 @@ def build_manifest(cfg: RunConfig, mat: Materialized, steady: dict) -> dict:
         m["predicted.theta_bar_min"] = pred.theta_bar_min
         m["predicted.duty_cycle_lower"] = pred.duty_cycle_lower
         m["predicted.duty_cycle_upper"] = pred.duty_cycle_upper
+
+    # the closed-form NLMS steady state, for the one policy without cooperation
+    if cfg.policy.kind == "non_cooperative" and env.M > 2:
+        m["predicted.msd_db"] = float(to_db(analysis.nlms_steady_msd(
+            mat.mu_tilde, env.sigma2_v, env.sigma2_u, env.M)))
 
     for name, summary in steady.items():
         lo, hi = summary["window"]

@@ -10,6 +10,7 @@ from asdnlms.analysis import (
     beta_admissible,
     duty_cycle_estimate,
     network_op_cost,
+    nlms_steady_msd,
     predict,
     sampled_node_bounds,
     theta_bounds,
@@ -186,3 +187,19 @@ class TestPredict:
         assert pred.Vs_lower == pytest.approx(pred.duty_cycle_lower * 20, abs=1e-12)
         assert pred.Vs_lower <= pred.Vs_upper
         assert 0 <= pred.Vs_lower <= 20 and 0 <= pred.Vs_upper <= 20
+
+
+class TestNlmsSteadyMsd:
+    def test_hand_value(self):
+        # mu 1, sigma2_v 0.5, M 12, sigma2_u 2: 1 * 0.5 * 12 / (1 * 10 * 2) = 0.3
+        assert nlms_steady_msd(1.0, 0.5, 2.0, 12) == pytest.approx(0.3)
+
+    def test_mean_over_nodes(self):
+        mu, s2v, s2u = np.array([0.2, 1.0]), np.array([0.1, 0.4]), np.array([1.0, 2.0])
+        per_node = [nlms_steady_msd(m, v, u, 7) for m, v, u in zip(mu, s2v, s2u)]
+        assert nlms_steady_msd(mu, s2v, s2u, 7) == pytest.approx(np.mean(per_node))
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_needs_more_than_two_taps(self, M):
+        with pytest.raises(ValueError, match="M > 2"):
+            nlms_steady_msd(0.5, 0.1, 1.0, M)

@@ -8,7 +8,7 @@ import pytest
 from asdnlms.analysis import sampled_node_bounds
 from asdnlms.cli import main
 from asdnlms.config import ConfigError, parse_config_file, parse_config_text
-from asdnlms.harness import materialize
+from asdnlms.harness import materialize, monte_carlo
 from asdnlms.presets import BETA_RATIOS, PRESET_NAMES, expand_preset
 
 GOOD_CONFIG = """
@@ -164,6 +164,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error" in err and "duplicate" not in err and "bad value" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_negative_seed_names_the_key(self, command, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(GOOD_CONFIG, "run.seed", "-3"))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 1
+        assert "run.seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preset_negative_seed_names_the_key(self, tmp_path, capsys):
+        rc = main(["preset", "fig_censoring", "--seed", "-1", "--realizations", "1",
+                   "--iterations", "20", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "run.seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_validate_rejects_nan_radius_before_drawing_graphs(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(with_key(GOOD_CONFIG, "topology.radius", "nan"))
@@ -287,19 +304,42 @@ class TestCli:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_materializes_each_variant_once(self, name, tmp_path, monkeypatch):
+        # perfbench/run.py wraps cli.materialize and cli.monte_carlo, finds each
+        # variant's network and result by label, and times the engine as the
+        # time spent inside monte_carlo: every run_batch call must fall inside one
         import asdnlms.cli as cli
+        import asdnlms.harness as harness
 
-        calls = []
+        calls, results, batches, inside = [], [], [], []
+        run_batch = harness.run_batch
 
         def counting(cfg):
             calls.append(cfg.name())
             return materialize(cfg)
 
+        def recording(cfg, *args, **kwargs):
+            inside.append(cfg.name())
+            try:
+                result = monte_carlo(cfg, *args, **kwargs)
+            finally:
+                inside.pop()
+            results.append((cfg.name(), result.config.name()))
+            return result
+
+        def checked_run_batch(*args, **kwargs):
+            batches.append(list(inside))
+            return run_batch(*args, **kwargs)
+
         monkeypatch.setattr(cli, "materialize", counting)
+        monkeypatch.setattr(cli, "monte_carlo", recording)
+        monkeypatch.setattr(harness, "run_batch", checked_run_batch)
         rc = main(["preset", name, "--seed", "3", "--realizations", "1",
                    "--iterations", "60", "--out", str(tmp_path)])
         assert rc == 0
-        assert sorted(calls) == sorted(c.name() for c in expand_preset(name))
+        labels = [c.name() for c in expand_preset(name)]
+        assert calls == labels
+        assert results == [(label, label) for label in labels]
+        assert batches and all(len(stack) == 1 for stack in batches)
 
     def test_unwritable_out_dir_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -382,3 +422,13 @@ def test_perfbench_traced_names_resolve():
     for module, attr in pairs:
         assert module in ("cli", "harness")
         assert hasattr(importlib.import_module(f"asdnlms.{module}"), attr), (module, attr)
+
+
+def test_harness_keeps_the_names_perfbench_traces():
+    """A traced benchmark round calls getattr on each of these in asdnlms.harness."""
+    import asdnlms.harness as harness
+
+    for name in ("build_random_geometric", "load_edge_list", "uniform_weights",
+                 "draw_signal_blocks", "draw_sampled_set", "draw_active_links",
+                 "run_realization", "build_manifest"):
+        assert callable(getattr(harness, name)), name

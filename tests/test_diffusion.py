@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,38 @@ class TestEndToEnd:
         expected_adds = int((M * (3 + deg) + 3).sum())
         assert np.all(series.mults == expected_mults)
         assert np.all(series.adds == expected_adds)
+
+
+class TestNlmsSteadyStateAnchor:
+    """The engine's MSD against a closed form that shares none of its code.
+
+    Non-cooperative NLMS has the steady MSD ``analysis.nlms_steady_msd``,
+    which the manifest records as predicted.msd_db.  Over seeds 1-12 at
+    V = 6, T = 3000, R = 8 (final-20% window), the simulated minus the
+    predicted MSD spread over [-0.15, +0.16] dB at M = 10 and
+    [-0.10, +0.15] dB at M = 20, so TOL = 0.3 dB leaves a 2x margin.  The
+    same formula without its M / (M - 2) factor is off by 0.97 dB at
+    M = 10 and 0.46 dB at M = 20, beyond TOL, so the check tells the NLMS
+    normalization from that plausible wrong one.  M = 4 is left out: 1 /
+    ||u||^2 has infinite variance for M <= 4 taps, and the spread over
+    seeds reached 0.44 dB.
+    """
+
+    TOL_DB = 0.3
+
+    @pytest.mark.parametrize("seed, M", [(4, 10), (5, 10), (6, 20)])
+    def test_steady_msd_matches_the_closed_form(self, seed, M):
+        cfg = make_config(kind="non_cooperative", V=6, M=M, iterations=3000, realizations=8,
+                          seed=seed)
+        m = monte_carlo(cfg).manifest
+        simulated, predicted = m["steady.pre.msd_db_smoothed"], m["predicted.msd_db"]
+        assert abs(simulated - predicted) < self.TOL_DB
+        without_factor = predicted - 10 * math.log10(M / (M - 2))
+        assert abs(simulated - without_factor) > self.TOL_DB
+
+    def test_only_non_cooperative_manifests_predict_the_msd(self):
+        for kind in ("full", "as_sampling", "non_cooperative"):
+            m = monte_carlo(make_config(kind=kind, V=4, M=3, iterations=10)).manifest
+            assert ("predicted.msd_db" in m) == (kind == "non_cooperative")
+        m = monte_carlo(make_config(kind="non_cooperative", V=4, M=2, iterations=10)).manifest
+        assert "predicted.msd_db" not in m

@@ -10,6 +10,8 @@ from asdnlms.harness import (
     BLOCK,
     CHUNK,
     MonteCarloResult,
+    VariantGroup,
+    group_variants,
     materialize,
     monte_carlo,
     moving_average,
@@ -20,7 +22,8 @@ from asdnlms.harness import (
     write_csv,
     write_manifest,
 )
-from asdnlms.sampling import phi_prime
+from asdnlms.presets import expand_preset
+from asdnlms.sampling import PolicyConfig, phi_prime
 from conftest import make_config
 from reference import (
     adjacency,
@@ -425,6 +428,129 @@ class TestWorkspace:
         p, trials = V_s / V, R * T
         freq = bits.reshape(trials, V).mean(axis=0)
         assert np.all(np.abs(freq - p) <= 6 * np.sqrt(p * (1 - p) / trials))
+
+
+class TestGroupedRows:
+    """Variants of one kind as the rows of one batch: each row is its variant's own run."""
+
+    ROW_POLICIES = {
+        "as_sampling": [dict(beta=0.68, mu_s=2.0), dict(beta=1.5, mu_s=1.0),
+                        dict(beta=3.0, mu_s=0.5)],
+        "as_censoring": [dict(beta=0.68, mu_s=2.0), dict(beta=1.5, mu_s=1.0),
+                         dict(beta=3.0, mu_s=0.5)],
+        "random_sampling": [dict(V_s=1), dict(V_s=3), dict(V_s=6)],
+        "probabilistic_transmission": [dict(p=0.2), dict(p=0.5), dict(p=1.0)],
+    }
+
+    @pytest.mark.parametrize("kind", list(ROW_POLICIES))
+    def test_rows_match_single_runs(self, kind):
+        cfg = make_config(kind=kind, V=6, M=4, iterations=BLOCK + 40, seed=9, flip=BLOCK // 2)
+        mat = materialize(cfg)
+        pols = [PolicyConfig(kind=kind, **params) for params in self.ROW_POLICIES[kind]]
+        # rows that share realization 0 or 2 share its signals
+        rows = [(pols[0], 0), (pols[1], 0), (pols[2], 0), (pols[0], 2), (pols[2], 2)]
+        batch = run_batch(cfg, [r for _, r in rows], mat, policies=[p for p, _ in rows])
+        # the parameters matter: the three rows of realization 0 differ
+        assert len({batch.sampled[b].tobytes() + batch.comms[b].tobytes() for b in range(3)}) == 3
+        for b, (pol, r) in enumerate(rows):
+            single = run_realization(replace(cfg, policy=pol), r, mat)
+            for name in SERIES:
+                assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), name
+
+    def test_beta_sweep_rows_match_single_runs(self):
+        cfgs = expand_preset("fig_beta_sweep", seed=2, realizations=1, iterations=300)
+        mat = materialize(cfgs[0])
+        batch = run_batch(cfgs[0], [0] * len(cfgs), mat, policies=[c.policy for c in cfgs])
+        for b, cfg in enumerate(cfgs):
+            single = run_realization(cfg, 0, mat)
+            for name in SERIES:
+                assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), name
+
+    def test_group_matches_standalone_campaigns(self, monkeypatch):
+        import asdnlms.harness as harness
+
+        R = 3
+        base = make_config(kind="as_censoring", V=6, M=4, iterations=200, realizations=R,
+                           seed=4, flip=100)
+        cfgs = [replace(base, label=f"v{i}", policy=PolicyConfig(kind="as_censoring", **params))
+                for i, params in enumerate(self.ROW_POLICIES["as_censoring"])]
+        assert CHUNK < len(cfgs) * R <= 2 * CHUNK  # the rows span a chunk boundary
+        mat = materialize(base)
+        alone = [monte_carlo(cfg, mat) for cfg in cfgs]
+
+        batches = []
+        run = harness.run_batch
+
+        def counting(*args, **kwargs):
+            batches.append(len(args[1]))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", counting)
+        groups = group_variants(cfgs)
+        assert all(g is groups[0] for g in groups)
+        grouped = [monte_carlo(cfg, mat, group) for cfg, group in zip(cfgs, groups)]
+        assert batches == [CHUNK, len(cfgs) * R - CHUNK]  # all run in the first call
+        for got, want in zip(grouped, alone):
+            assert got.config is want.config
+            for name in ("msd", "msd_db", "msd_db_smoothed", "sampled", "comms", "mults",
+                         "adds"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.manifest == want.manifest
+
+    def test_non_finite_row_names_its_variant(self, monkeypatch):
+        # with two rows per batch, the second batch holds only v1's rows; it
+        # fails inside the monte_carlo call of v0, which runs the whole group
+        import asdnlms.harness as harness
+
+        draw, draws = harness.draw_signal_blocks, []
+
+        def nan_in_second_batch(env, streams, iterations):
+            inputs, noises = draw(env, streams, iterations)
+            draws.append(None)
+            if len(draws) == 2:
+                inputs[0, 2, 30] = np.nan
+            return inputs, noises
+
+        monkeypatch.setattr(harness, "CHUNK", 2)
+        monkeypatch.setattr(harness, "draw_signal_blocks", nan_in_second_batch)
+        base = make_config(kind="random_sampling", V=6, M=4, iterations=60, realizations=2)
+        cfgs = [replace(base, label=f"v{vs}", policy=PolicyConfig(kind="random_sampling", V_s=vs))
+                for vs in (2, 4)]
+        groups = group_variants(cfgs)
+        with pytest.raises(harness.NonFiniteStateError,
+                           match="v4, realization 0: network MSD is not finite at iteration 30"):
+            monte_carlo(cfgs[0], materialize(base), groups[0])
+
+    def test_grouping_rule(self, tmp_path):
+        base = make_config(kind="as_sampling", V=6, flip=100)
+        same = [replace(base, label="a"),
+                replace(base, label="b", policy=replace(base.policy, beta=1.1, mu_s=0.3))]
+        apart = [
+            replace(base, policy=replace(base.policy, alpha_plus=3.0)),
+            replace(base, seed=8),
+            replace(base, env=replace(base.env, flip_iteration=None)),
+            replace(base, topology=replace(base.topology, radius=0.5)),
+            replace(base, comm_unit="broadcast"),
+            replace(base, policy=replace(base.policy, kind="as_censoring")),
+            make_config(kind="full", V=6, flip=100),
+        ]
+        groups = group_variants([base] + same + apart)
+        assert groups[0] is groups[1] is groups[2]
+        assert groups[0].configs == [base] + same
+        assert len({id(g) for g in groups}) == 1 + len(apart)
+        for other in apart:
+            with pytest.raises(ValueError, match="may differ only"):
+                VariantGroup([base, other])
+
+    def test_batch_rejects_rows_of_two_kinds_or_alpha_plus(self):
+        cfg = make_config(kind="as_sampling", V=6, iterations=5)
+        mat = materialize(cfg)
+        for other in (replace(cfg.policy, kind="as_censoring"),
+                      replace(cfg.policy, alpha_plus=2.0)):
+            with pytest.raises(ValueError, match="one kind and one alpha_plus"):
+                run_batch(cfg, [0, 1], mat, policies=[cfg.policy, other])
+        with pytest.raises(ValueError, match="one policy per row"):
+            run_batch(cfg, [0, 1], mat, policies=[cfg.policy])
 
 
 def _arrays(mat):

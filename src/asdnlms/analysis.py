@@ -68,40 +68,24 @@ def sampled_node_bounds(V: int, beta: float, sigma2_min: float, sigma2_max: floa
 
 @dataclass(frozen=True)
 class SteadyStatePrediction:
-    """Bundle of the closed-form steady-state quantities for one network."""
+    """The closed-form steady-state quantities of one network, in report order."""
 
-    V: int
-    beta: float
-    sigma2_min: float
-    sigma2_max: float
+    Vs_lower: float
+    Vs_upper: float
     theta_max: float
     theta_min: float
     theta_bar_max: float
     theta_bar_min: float
-    duty_cycle_upper: float
     duty_cycle_lower: float
-    Vs_lower: float
-    Vs_upper: float
+    duty_cycle_upper: float
 
 
 def predict(V: int, beta: float, sigma2_min: float, sigma2_max: float) -> SteadyStatePrediction:
     """All steady-state predictions for a (V, beta, noise-profile) triple."""
-    t_max, t_min, tb_max, tb_min = theta_bounds(beta, sigma2_min, sigma2_max)
-    vs_lo, vs_hi = sampled_node_bounds(V, beta, sigma2_min, sigma2_max)
-    return SteadyStatePrediction(
-        V=V,
-        beta=beta,
-        sigma2_min=sigma2_min,
-        sigma2_max=sigma2_max,
-        theta_max=t_max,
-        theta_min=t_min,
-        theta_bar_max=tb_max,
-        theta_bar_min=tb_min,
-        duty_cycle_upper=duty_cycle_estimate(t_max, tb_min),
-        duty_cycle_lower=duty_cycle_estimate(t_min, tb_max),
-        Vs_lower=vs_lo,
-        Vs_upper=vs_hi,
-    )
+    t_max, t_min, tb_max, tb_min = thetas = theta_bounds(beta, sigma2_min, sigma2_max)
+    return SteadyStatePrediction(*sampled_node_bounds(V, beta, sigma2_min, sigma2_max), *thetas,
+                                 duty_cycle_lower=duty_cycle_estimate(t_min, tb_max),
+                                 duty_cycle_upper=duty_cycle_estimate(t_max, tb_min))
 
 
 def nlms_steady_msd(mu_tilde, sigma2_v, sigma2_u, M: int) -> float:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from asdnlms import analysis
-from asdnlms.config import ConfigError, parse_config_file
+from asdnlms.config import ConfigError, RunConfig, parse_config_file
 from asdnlms.harness import (
     MonteCarloResult,
     NonFiniteStateError,
@@ -49,9 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_preset = sub.add_parser("preset", help="run a named experiment preset")
     p_preset.add_argument("name", choices=PRESET_NAMES)
-    p_preset.add_argument("--seed", type=int, default=1)
-    p_preset.add_argument("--realizations", type=int, default=None)
-    p_preset.add_argument("--iterations", type=int, default=None)
+    p_preset.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_preset.add_argument("--realizations", type=int, default=RunConfig.realizations)
+    p_preset.add_argument("--iterations", type=int, default=RunConfig.iterations)
     p_preset.add_argument("--out", default=None, help="output directory")
 
     p_predict = sub.add_parser("predict", help="print steady-state sampled-node bounds")
@@ -93,12 +94,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    kwargs = {"seed": args.seed}
-    if args.realizations is not None:
-        kwargs["realizations"] = args.realizations
-    if args.iterations is not None:
-        kwargs["iterations"] = args.iterations
-    configs = expand_preset(args.name, out_dir=args.out, **kwargs)
+    configs = expand_preset(args.name, seed=args.seed, realizations=args.realizations,
+                            out_dir=args.out, iterations=args.iterations)
     out_dir = _out_dir(args.out, configs[0].out_dir or f"results/{args.name}")
 
     bounds_rows = []
@@ -121,14 +118,8 @@ def cmd_preset(args) -> int:
 
 def cmd_predict(args) -> int:
     pred = analysis.predict(args.V, args.beta, args.sigma2_min, args.sigma2_max)
-    print(f"Vs_lower = {pred.Vs_lower:.4f}")
-    print(f"Vs_upper = {pred.Vs_upper:.4f}")
-    print(f"theta_max = {pred.theta_max:.4f}")
-    print(f"theta_min = {pred.theta_min:.4f}")
-    print(f"theta_bar_max = {pred.theta_bar_max:.4f}")
-    print(f"theta_bar_min = {pred.theta_bar_min:.4f}")
-    print(f"duty_cycle_lower = {pred.duty_cycle_lower:.4f}")
-    print(f"duty_cycle_upper = {pred.duty_cycle_upper:.4f}")
+    for name, value in asdict(pred).items():
+        print(f"{name} = {value:.4f}")
     return 0
 
 

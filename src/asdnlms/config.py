@@ -1,16 +1,18 @@
 """Run configuration: its dataclasses, its checks and its flat file format.
 
 Format: one `section.key = value` per line, `#` comments, blank lines
-ignored.  Sections are topology., env., policy. and run.; every key maps
-onto a RunConfig field.  Per-node profiles (env.sigma2_v, env.mu_tilde)
-are comma-separated lists; when absent they are drawn from the configured
+ignored.  Sections are topology., env., policy. and run.; the keys are the
+fields of the section's dataclass, parsed by the field's annotation.  An
+integer key that may be absent (env.flip_iteration, policy.V_s) reads
+`none` as absent.  Per-node profiles (env.sigma2_v, env.mu_tilde) are
+comma-separated lists; when absent they are drawn from the configured
 ranges and echoed into the output manifest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from asdnlms.sampling import PolicyConfig
@@ -75,6 +77,9 @@ def check_config(cfg: RunConfig) -> None:
         raise ConfigError(f"run.seed must be >= 0, got {cfg.seed}")
     if cfg.comm_unit not in COMM_UNITS:
         raise ConfigError(f"comm_unit must be one of {COMM_UNITS}")
+    # the label names the output files, which must stay inside the output directory
+    if cfg.label is not None and (cfg.label == ".." or Path(cfg.label).name != cfg.label):
+        raise ConfigError(f"run.label must be a plain file name, got {cfg.label!r}")
     if t.kind not in ("random_geometric", "edge_list"):
         raise ConfigError(f"unknown topology kind {t.kind!r}")
     if t.kind == "random_geometric":
@@ -124,35 +129,21 @@ def _parse_optional_int(text: str):
     return None if text.lower() in ("none", "") else int(text)
 
 
-_SCHEMA = {
-    "topology.kind": str,
-    "topology.V": int,
-    "topology.radius": float,
-    "topology.edge_list": str,
-    "env.M": int,
-    "env.sigma2_v_min": float,
-    "env.sigma2_v_max": float,
-    "env.sigma2_v": _parse_float_list,
-    "env.sigma2_u": float,
-    "env.mu_tilde_min": float,
-    "env.mu_tilde_max": float,
-    "env.mu_tilde": _parse_float_list,
-    "env.nu": float,
-    "env.delta": float,
-    "env.flip_iteration": _parse_optional_int,
-    "policy.kind": str,
-    "policy.beta": float,
-    "policy.mu_s": float,
-    "policy.alpha_plus": float,
-    "policy.V_s": int,
-    "policy.p": float,
-    "run.iterations": int,
-    "run.realizations": int,
-    "run.seed": int,
-    "run.out_dir": str,
-    "run.comm_unit": str,
-    "run.label": str,
+# a field's annotation -> the parser of its value; a field whose annotation
+# is missing here fails the import instead of losing its key
+_PARSERS = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "int | None": _parse_optional_int,
+    "float": float,
+    "float | None": float,
+    "tuple[float, ...] | None": _parse_float_list,
 }
+_SECTIONS = {"topology": TopologySpec, "env": EnvSpec, "policy": PolicyConfig, "run": RunConfig}
+# `section.field` -> parser, for every field of the sections but RunConfig's nested ones
+_SCHEMA = {f"{section}.{f.name}": _PARSERS[f.type]
+           for section, cls in _SECTIONS.items() for f in fields(cls) if f.name not in _SECTIONS}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:

@@ -18,7 +18,7 @@ policies see identical signal streams — paired comparisons stay paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,13 @@ from asdnlms.network import (
     load_edge_list,
     uniform_weights,  # noqa: F401  (unused; perfbench/run.py traces it here)
 )
-from asdnlms.sampling import AS_KINDS, draw_active_links, draw_sampled_set, phi_prime
+from asdnlms.sampling import (
+    AS_KINDS,
+    POLICY_PARAMS,
+    draw_active_links,
+    draw_sampled_set,
+    phi_prime,
+)
 from asdnlms.signals import (
     ROLE_POLICY,
     Environment,
@@ -44,6 +50,10 @@ from asdnlms.signals import (
 # Inverse-variance floor: only ever reached when a neighbor's intermediate
 # estimate exactly equals the local combined estimate.
 SIGMA2_FLOOR = 1e-12
+
+# The per-iteration counters of a run, in output order: sampled nodes,
+# communications, multiplications and additions.
+COUNTERS = ("sampled", "comms", "mults", "adds")
 
 
 @dataclass(frozen=True)
@@ -415,6 +425,7 @@ def run_batch(
 
             # transmit, and the ACW terms over each link.  Every take below has
             # valid indices; mode="clip" spares the copy that "raise" makes of out
+            np.vecdot(W, W, out=ww)
             if per_link:
                 fresh_rows = np.flatnonzero(fresh[l])
                 fresh_src = src_flat.take(fresh_rows)
@@ -422,14 +433,12 @@ def run_batch(
                 np.vecdot(PSI, PSI, out=psi2)
                 xx_flat[fresh_rows] = psi2_flat.take(fresh_src)
                 np.matmul(cache, W_col, out=xw)
-                np.vecdot(W, W, out=ww)
                 np.copyto(ww_slots, ww[:, :, None])
             else:
                 if not always_tx:
                     np.copyto(X, PSI, where=s[:, :, None])
                 np.matmul(X, WT, out=G)
                 np.vecdot(X, X, out=xx)
-                np.vecdot(W, W, out=ww)
                 gram.take(gather, out=terms[:3], mode="clip")
 
             # ACW weights of sampled receivers; an idle receiver's come out unchanged
@@ -503,18 +512,11 @@ def _link_comms(links: np.ndarray, src: np.ndarray, V: int, by_link: bool) -> np
 # --- Monte Carlo aggregation -------------------------------------------------
 
 
-@dataclass
-class MonteCarloResult:
-    config: RunConfig
-    msd: np.ndarray
-    msd_db: np.ndarray
-    msd_db_smoothed: np.ndarray
-    sampled: np.ndarray
-    comms: np.ndarray
-    mults: np.ndarray
-    adds: np.ndarray
-    steady: dict
-    manifest: dict
+# A campaign's result: its config, a (T,) array of per-iteration means for
+# each name in SERIES, its steady-window summaries and its manifest.
+SERIES = ("msd", "msd_db", "msd_db_smoothed") + COUNTERS
+MonteCarloResult = make_dataclass("MonteCarloResult", ["config", *SERIES, "steady", "manifest"],
+                                  namespace={"__module__": __name__})
 
 
 def steady_windows(iterations: int, flip_iteration: int | None) -> dict[str, tuple[int, int]]:
@@ -563,8 +565,7 @@ class VariantGroup:
         cfg = self.configs[0]
         T, R = cfg.iterations, cfg.realizations
         rows = [(i, r) for i in range(len(self.configs)) for r in range(R)]
-        acc = [{k: np.zeros(T) for k in ("msd", "sampled", "comms", "mults", "adds")}
-               for _ in self.configs]
+        acc = [{k: np.zeros(T) for k in ("msd",) + COUNTERS} for _ in self.configs]
         for first in range(0, len(rows), CHUNK):
             chunk = rows[first:first + CHUNK]
             try:
@@ -600,38 +601,17 @@ def monte_carlo(cfg: RunConfig, mat: Materialized | None = None,
     """
     if mat is None:
         mat = materialize(cfg)
-    T = cfg.iterations
-    acc = (group or VariantGroup([cfg])).means(cfg, mat)
+    series = dict((group or VariantGroup([cfg])).means(cfg, mat))
+    series["msd_db"] = to_db(series["msd"])
+    series["msd_db_smoothed"] = to_db(moving_average(series["msd"]))
 
-    msd_db = to_db(acc["msd"])
-    msd_db_smoothed = to_db(moving_average(acc["msd"]))
-
-    windows = steady_windows(T, cfg.env.flip_iteration)
     steady = {}
-    for name, (lo, hi) in windows.items():
-        sl = slice(lo, hi)
-        steady[name] = {
-            "window": (lo, hi),
-            "sampled": float(acc["sampled"][sl].mean()),
-            "comms": float(acc["comms"][sl].mean()),
-            "mults": float(acc["mults"][sl].mean()),
-            "adds": float(acc["adds"][sl].mean()),
-            "msd_db_smoothed": float(msd_db_smoothed[sl].mean()),
-        }
+    for name, (lo, hi) in steady_windows(cfg.iterations, cfg.env.flip_iteration).items():
+        steady[name] = {"window": (lo, hi)} | {
+            k: float(series[k][lo:hi].mean()) for k in COUNTERS + ("msd_db_smoothed",)}
 
     manifest = build_manifest(cfg, mat, steady)
-    return MonteCarloResult(
-        config=cfg,
-        msd=acc["msd"],
-        msd_db=msd_db,
-        msd_db_smoothed=msd_db_smoothed,
-        sampled=acc["sampled"],
-        comms=acc["comms"],
-        mults=acc["mults"],
-        adds=acc["adds"],
-        steady=steady,
-        manifest=manifest,
-    )
+    return MonteCarloResult(config=cfg, **series, steady=steady, manifest=manifest)
 
 
 def build_manifest(cfg: RunConfig, mat: Materialized, steady: dict) -> dict:
@@ -640,10 +620,8 @@ def build_manifest(cfg: RunConfig, mat: Materialized, steady: dict) -> dict:
     m: dict[str, object] = {}
     m["label"] = cfg.name()
     m["policy.kind"] = cfg.policy.kind
-    for p in ("beta", "mu_s", "alpha_plus", "V_s", "p"):
-        val = getattr(cfg.policy, p)
-        if val is not None:
-            m[f"policy.{p}"] = val
+    for p in POLICY_PARAMS[cfg.policy.kind]:
+        m[f"policy.{p}"] = getattr(cfg.policy, p)
     m["run.iterations"] = cfg.iterations
     m["run.realizations"] = cfg.realizations
     m["run.seed"] = cfg.seed
@@ -670,14 +648,8 @@ def build_manifest(cfg: RunConfig, mat: Materialized, steady: dict) -> dict:
     # the bounds are defined only for an admissible beta and a noisy profile
     if cfg.policy.kind in AS_KINDS and cfg.policy.beta >= env.sigma2_max and env.sigma2_min > 0:
         pred = analysis.predict(top.node_count, cfg.policy.beta, env.sigma2_min, env.sigma2_max)
-        m["predicted.Vs_lower"] = pred.Vs_lower
-        m["predicted.Vs_upper"] = pred.Vs_upper
-        m["predicted.theta_max"] = pred.theta_max
-        m["predicted.theta_min"] = pred.theta_min
-        m["predicted.theta_bar_max"] = pred.theta_bar_max
-        m["predicted.theta_bar_min"] = pred.theta_bar_min
-        m["predicted.duty_cycle_lower"] = pred.duty_cycle_lower
-        m["predicted.duty_cycle_upper"] = pred.duty_cycle_upper
+        for name, value in asdict(pred).items():
+            m[f"predicted.{name}"] = value
 
     # the closed-form NLMS steady state, for the one policy without cooperation
     if cfg.policy.kind == "non_cooperative" and env.M > 2:
@@ -685,33 +657,23 @@ def build_manifest(cfg: RunConfig, mat: Materialized, steady: dict) -> dict:
             mat.mu_tilde, env.sigma2_v, env.sigma2_u, env.M)))
 
     for name, summary in steady.items():
-        lo, hi = summary["window"]
-        m[f"steady.{name}.window"] = f"{lo}:{hi}"
-        for key in ("sampled", "comms", "mults", "adds", "msd_db_smoothed"):
-            m[f"steady.{name}.{key}"] = summary[key]
+        for key, value in summary.items():
+            m[f"steady.{name}.{key}"] = "%d:%d" % value if key == "window" else value
     return m
 
 
 # --- output ------------------------------------------------------------------
 
-CSV_HEADER = "n,msd_db,msd_db_smoothed,sampled,comms,mults,adds"
-CSV_ROW = "%d,%.6f,%.6f,%.6g,%.6g,%.6g,%.6g\n"
+CSV_COLUMNS = ("msd_db", "msd_db_smoothed") + COUNTERS
+CSV_HEADER = ",".join(("n",) + CSV_COLUMNS)
+CSV_ROW = "%d,%.6f,%.6f" + ",%.6g" * len(COUNTERS) + "\n"
 
 
 def write_csv(result: MonteCarloResult, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = np.column_stack(
-        [
-            np.arange(len(result.msd)),
-            result.msd_db,
-            result.msd_db_smoothed,
-            result.sampled,
-            result.comms,
-            result.mults,
-            result.adds,
-        ]
-    )
+    cols = np.column_stack([np.arange(len(result.msd)),
+                            *(getattr(result, k) for k in CSV_COLUMNS)])
     # np.savetxt's bytes, formatted from Python floats rather than numpy scalars;
     # in chunks of rows, so that few of those floats are alive at a time
     with path.open("w") as f:

@@ -72,14 +72,6 @@ def _connected(neighbors) -> bool:
     return all(seen)
 
 
-def _from_links(V: int, links: set[tuple[int, int]]) -> Topology:
-    nbrs = [{k} for k in range(V)]
-    for i, j in links:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return Topology(tuple(tuple(sorted(nk)) for nk in nbrs))
-
-
 def build_random_geometric(V: int, radius: float, seed, max_redraws: int = 1000) -> Topology:
     """Connected random geometric graph on the unit square.
 
@@ -95,14 +87,12 @@ def build_random_geometric(V: int, radius: float, seed, max_redraws: int = 1000)
     for _ in range(max_redraws):
         pos = rng.uniform(0.0, 1.0, size=(V, 2))
         d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
+        # d2 is exactly symmetric and zero on the diagonal, so each row of the
+        # mask is the node's sorted neighborhood, itself included
         close = d2 <= radius * radius
-        links = {(i, j) for i in range(V) for j in range(i + 1, V) if close[i, j]}
-        nbrs = [{k} for k in range(V)]
-        for i, j in links:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
+        nbrs = tuple(tuple(np.flatnonzero(row).tolist()) for row in close)
         if _connected(nbrs):
-            return _from_links(V, links)
+            return Topology(nbrs)
     raise TopologyError(
         f"could not produce a connected graph after {max_redraws} draws; radius too small"
     )
@@ -132,15 +122,18 @@ def load_edge_list(path: str | Path) -> Topology:
     tokens = Path(path).read_text().split()
     if not tokens:
         raise TopologyError(f"{path}: empty edge-list file")
-    V = int(tokens[0])
-    pairs = tokens[1:]
+    try:
+        V, *pairs = map(int, tokens)
+    except ValueError as exc:
+        raise TopologyError(f"{path}: {exc}") from None
+    if V < 1:
+        raise TopologyError(f"{path}: topology needs at least one node, got V={V}")
     if len(pairs) % 2:
         raise TopologyError(f"{path}: odd number of endpoints")
-    links = set()
-    for a, b in zip(pairs[::2], pairs[1::2]):
-        i, j = int(a), int(b)
+    nbrs = [{k} for k in range(V)]
+    for i, j in zip(pairs[::2], pairs[1::2]):
         if not (0 <= i < V and 0 <= j < V):
             raise TopologyError(f"{path}: node index out of range")
-        if i != j:
-            links.add((min(i, j), max(i, j)))
-    return _from_links(V, links)
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return Topology(tuple(tuple(sorted(nk)) for nk in nbrs))

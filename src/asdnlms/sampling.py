@@ -11,18 +11,20 @@ eventually re-sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-POLICY_KINDS = (
-    "full",
-    "as_sampling",
-    "as_censoring",
-    "random_sampling",
-    "probabilistic_transmission",
-    "non_cooperative",
-)
+# policy kind -> the parameters it takes, each required (alpha_plus has a default)
+POLICY_PARAMS = {
+    "full": (),
+    "as_sampling": ("beta", "mu_s", "alpha_plus"),
+    "as_censoring": ("beta", "mu_s", "alpha_plus"),
+    "random_sampling": ("V_s",),
+    "probabilistic_transmission": ("p",),
+    "non_cooperative": (),
+}
+POLICY_KINDS = tuple(POLICY_PARAMS)
 
 AS_KINDS = ("as_sampling", "as_censoring")
 
@@ -47,9 +49,8 @@ def phi_prime(alpha, alpha_plus: float = DEFAULT_ALPHA_PLUS):
 class PolicyConfig:
     """Which sampling/censoring strategy a run uses, plus its parameters.
 
-    Parameters must be present exactly when the kind requires them:
-    beta/mu_s/alpha_plus for the adaptive-sampling kinds, V_s for random
-    sampling, p for probabilistic transmission.
+    Parameters must be present exactly when POLICY_PARAMS lists them for
+    the kind; alpha_plus defaults to DEFAULT_ALPHA_PLUS.
     """
 
     kind: str
@@ -62,15 +63,10 @@ class PolicyConfig:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-        required = {
-            "as_sampling": ("beta", "mu_s", "alpha_plus"),
-            "as_censoring": ("beta", "mu_s", "alpha_plus"),
-            "random_sampling": ("V_s",),
-            "probabilistic_transmission": ("p",),
-        }.get(self.kind, ())
+        required = POLICY_PARAMS[self.kind]
         if self.kind in AS_KINDS and self.alpha_plus is None:
             object.__setattr__(self, "alpha_plus", DEFAULT_ALPHA_PLUS)
-        for name in ("beta", "mu_s", "alpha_plus", "V_s", "p"):
+        for name in (f.name for f in fields(self) if f.name != "kind"):
             val = getattr(self, name)
             if name in required and val is None:
                 raise ValueError(f"policy {self.kind!r} requires parameter {name!r}")

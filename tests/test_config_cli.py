@@ -1,5 +1,6 @@
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,18 @@ import pytest
 
 from asdnlms.analysis import sampled_node_bounds
 from asdnlms.cli import main
-from asdnlms.config import ConfigError, parse_config_file, parse_config_text
+from asdnlms.config import (
+    _SCHEMA,
+    ConfigError,
+    EnvSpec,
+    RunConfig,
+    TopologySpec,
+    parse_config_file,
+    parse_config_text,
+)
 from asdnlms.harness import materialize, monte_carlo
 from asdnlms.presets import BETA_RATIOS, PRESET_NAMES, expand_preset
+from asdnlms.sampling import PolicyConfig
 
 GOOD_CONFIG = """
 # small smoke-test run
@@ -86,6 +96,27 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config_file("does/not/exist.cfg")
+
+    def test_every_field_is_a_key(self):
+        sections = {"topology": TopologySpec, "env": EnvSpec, "policy": PolicyConfig,
+                    "run": RunConfig}
+        keys = {f"{section}.{f.name}" for section, cls in sections.items()
+                for f in fields(cls) if f.name not in sections}
+        assert keys == set(_SCHEMA)
+
+    @pytest.mark.parametrize("key", ["policy.V_s", "env.flip_iteration"])
+    def test_none_is_absent(self, key):
+        cfg = parse_config_text(f"policy.kind = full\n{key} = none\n")
+        section, name = key.split(".")
+        assert getattr(getattr(cfg, section), name) is None
+
+    def test_readme_config_block(self):
+        # the README's config example parses and names every key
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Config format", 1)[1].split("```\n")[1]
+        parse_config_text(block, source="README.md")
+        missing = [key for key in _SCHEMA if key not in block]
+        assert not missing
 
 
 class TestPresets:
@@ -173,6 +204,17 @@ class TestCli:
         assert main(argv) == 1
         assert "run.seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["../x", "sub/x", ".", ".."])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_label_must_be_a_plain_file_name(self, command, label, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(GOOD_CONFIG, "run.label", label))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 1
+        assert f"run.label must be a plain file name, got {label!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_preset_negative_seed_names_the_key(self, tmp_path, capsys):
         rc = main(["preset", "fig_censoring", "--seed", "-1", "--realizations", "1",

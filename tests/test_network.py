@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,12 @@ class TestBuildRandomGeometric:
     def test_unconnectable_radius_raises(self):
         with pytest.raises(TopologyError, match="connected"):
             build_random_geometric(30, 0.01, seed=0, max_redraws=50)
+
+    def test_seeded_graph_is_pinned(self):
+        top = build_random_geometric(8, 0.45, np.random.SeedSequence((7, 1)))
+        assert top.neighbors == ((0, 2, 5), (1, 3, 4, 5, 7), (0, 2, 6), (1, 3, 4, 5, 7),
+                                 (1, 3, 4, 5, 7), (0, 1, 3, 4, 5, 6, 7), (2, 5, 6),
+                                 (1, 3, 4, 5, 7))
 
     def test_invalid_args(self):
         with pytest.raises(TopologyError):
@@ -150,4 +158,10 @@ class TestEdgeList:
         path = tmp_path / "bad.edges"
         path.write_text("3\n0 1\n1\n")
         with pytest.raises(TopologyError, match="odd"):
+            load_edge_list(path)
+        path.write_text("3\n0 x\n")
+        with pytest.raises(TopologyError, match=f"^{re.escape(str(path))}: invalid literal"):
+            load_edge_list(path)
+        path.write_text("0\n")
+        with pytest.raises(TopologyError, match=f"^{re.escape(str(path))}: topology needs at least one node"):
             load_edge_list(path)

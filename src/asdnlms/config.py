@@ -2,9 +2,12 @@
 
 Format: one `section.key = value` per line, `#` comments, blank lines
 ignored.  Sections are topology., env., policy. and run.; the keys are the
-fields of the section's dataclass, parsed by the field's annotation.  An
-integer key that may be absent (env.flip_iteration, policy.V_s) reads
-`none` as absent.  Per-node profiles (env.sigma2_v, env.mu_tilde) are
+fields of the section's dataclass, parsed by the field's annotation.  A
+numeric key that may be absent (env.flip_iteration, env.sigma2_v,
+env.mu_tilde and every policy parameter) reads `none`, or an empty value,
+as absent; a string key that may be absent (topology.edge_list,
+run.out_dir, run.label) keeps `none` as its value, since `none` is a legal
+file name.  Per-node profiles (env.sigma2_v, env.mu_tilde) are
 comma-separated lists; when absent they are drawn from the configured
 ranges and echoed into the output manifest.
 """
@@ -125,20 +128,21 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-def _parse_optional_int(text: str):
-    return None if text.lower() in ("none", "") else int(text)
+def _optional(parse):
+    """``parse``, reading `none` or an empty value as absent."""
+    return lambda text: None if text.lower() in ("none", "") else parse(text)
 
 
 # a field's annotation -> the parser of its value; a field whose annotation
 # is missing here fails the import instead of losing its key
 _PARSERS = {
     "str": str,
-    "str | None": str,
+    "str | None": str,  # `none` stays a literal: a legal label or file name
     "int": int,
-    "int | None": _parse_optional_int,
+    "int | None": _optional(int),
     "float": float,
-    "float | None": float,
-    "tuple[float, ...] | None": _parse_float_list,
+    "float | None": _optional(float),
+    "tuple[float, ...] | None": _optional(_parse_float_list),
 }
 _SECTIONS = {"topology": TopologySpec, "env": EnvSpec, "policy": PolicyConfig, "run": RunConfig}
 # `section.field` -> parser, for every field of the sections but RunConfig's nested ones

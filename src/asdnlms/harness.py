@@ -9,8 +9,9 @@ for the configured number of iterations, recording per-iteration network
 MSD, sampled nodes and communications; the operation counts follow from the
 sampled nodes through the :mod:`analysis` cost model.  Realizations are
 independent: a campaign runs the (variant, realization) rows of a group of
-same-kind variants in batches of CHUNK, one loop over (B, V, M) arrays,
-and aggregation is an element-wise mean per variant in realization order.
+variants on one engine path (per node or per link) in batches of CHUNK,
+one loop over (B, V, M) arrays, and aggregation is an element-wise mean
+per variant in realization order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -34,6 +35,7 @@ from asdnlms.network import (
 )
 from asdnlms.sampling import (
     AS_KINDS,
+    DEFAULT_ALPHA_PLUS,
     POLICY_PARAMS,
     draw_active_links,
     draw_sampled_set,
@@ -185,21 +187,33 @@ def run_batch(
     """Run seeded realizations side by side, on (B, V, M) state.
 
     Row b runs realization ``realizations[b]`` under ``policies[b]``, or
-    under ``cfg.policy`` when ``policies`` is None.  The rows' policies
-    share one kind and one alpha_plus; beta and mu_s enter the alpha update
-    as (B, 1) columns, and V_s and p are read per row where a block's masks
-    are drawn.  Rows of one realization see the same signals: the block is
-    drawn and windowed once per distinct realization and copied to its rows.
+    under ``cfg.policy`` when ``policies`` is None.  The rows are all per
+    link (``probabilistic_transmission``) or all per node (the other kinds,
+    in any mix), and their adaptive rows share one alpha_plus; beta and
+    mu_s enter the alpha update as (B, 1) columns, and V_s and p are read
+    per row where a block's masks are drawn.  Rows of one realization see
+    the same signals: the block is drawn and windowed once per distinct
+    realization and copied to its rows.
 
-    A policy is data fixed before the loop: its edge set (self-loops only
-    for ``non_cooperative``), its sampler (alpha >= 0 for the adaptive
-    kinds, a random V_s draw, or every node) and its transmit rule.  Per
-    node, a node transmits iff it samples (``as_censoring``) or always, and
-    every node combines the last psi each neighbor transmitted, its own
-    included.  Per link (``probabilistic_transmission``), each directed
-    link carries psi with probability p into the receiver's link cache.  A
-    link communication is one active directed link; a broadcast is one node
-    that reaches at least one neighbor.
+    A policy is row data fixed before the loop: its edge set, its sampler
+    (alpha >= 0 for the adaptive kinds, a random V_s draw, or every node)
+    and its transmit rule.  Per node, a node transmits iff it samples
+    (``as_censoring``) or always, and every node combines the last psi each
+    neighbor transmitted, its own included.  A (B, E) mask holds the links
+    each row has (a ``non_cooperative`` row has only its self links), and
+    the batch runs on the links some row has.  A row gives the links it
+    lacks weight 0 through the numerator of their inverse variance, so a
+    ``non_cooperative`` row's c_kk = inv / inv = 1 exactly, as on its own
+    graph.  Adaptive rows write alpha >= 0 into their rows of the
+    sampled-node bitmap; a non-adaptive row takes mu_s = beta = 0 in the
+    alpha update, so its alpha never moves.  Per link
+    (``probabilistic_transmission``), each directed link carries psi with
+    probability p into the receiver's link cache.  A link communication is
+    one active directed link; a broadcast is one node that reaches at least
+    one neighbor.  The counters are computed per kind, from the degrees and
+    comm units of its rows' links and its sampling mechanism.  Which of
+    these per-row steps the loop takes is set by plain flags before it, so
+    a batch makes no call for the kinds it lacks.
 
     Signals are drawn in blocks of BLOCK iterations; each block's
     regressors are windows of one tap buffer, and its references d and step
@@ -242,10 +256,13 @@ def run_batch(
     rs = list(realizations)
     B, V, M, T = len(rs), top.node_count, env.M, cfg.iterations
     pols = [cfg.policy] * B if policies is None else list(policies)
-    pol = pols[0]
-    if len(pols) != B or any((p.kind, p.alpha_plus) != (pol.kind, pol.alpha_plus)
-                             for p in pols):
-        raise ValueError("a batch needs one policy per row, all of one kind and one alpha_plus")
+    if len(pols) != B:
+        raise ValueError("a batch needs one policy per row")
+    kinds = [p.kind for p in pols]
+    if (len({k == "probabilistic_transmission" for k in kinds}) > 1
+            or len({p.alpha_plus for p in pols if p.kind in AS_KINDS}) > 1):
+        raise ValueError("a batch's rows must be all per-link or all per-node, and its "
+                         "adaptive rows must share one alpha_plus")
     for p in pols:
         p.validate_for(V)
 
@@ -256,15 +273,24 @@ def run_batch(
     streams = signal_streams(cfg.seed, distinct, V)
     policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
 
-    if pol.kind == "non_cooperative":  # the self-loop-only graph
-        src_e = dst_e = np.arange(V)
-    else:
-        src_e, dst_e = top.edge_arrays()
+    # (B, 1) columns of the rows of each kind, and the batch's flags, fixed
+    # before the loop
+    ad_col, rand_col, censor_col, lonely_col = (np.isin(kinds, ks)[:, None] for ks in (
+        AS_KINDS, "random_sampling", "as_censoring", "non_cooperative"))
+    adaptive, random_subset = bool(ad_col.any()), bool(rand_col.any())
+    every = not (adaptive or random_subset)  # every node samples: no sampled-node mask
+    per_link = kinds[0] == "probabilistic_transmission"
+    always_tx = not censor_col.any()
+    # (B, E) the links each row has, a non_cooperative row only its self links;
+    # the batch runs on the links that some row has
+    src_e, dst_e = top.edge_arrays()
+    has = ~(lonely_col & (src_e != dst_e))
+    used = has.any(axis=0)
+    src_e, dst_e, has = src_e[used], dst_e[used], has[:, used]
     E = src_e.size
     deg = np.bincount(dst_e, minlength=V)
     noself = src_e != dst_e
     src_ns = src_e[noself]
-    out_deg = np.bincount(src_ns, minlength=V)
     # (B, E) positions in flat (B * V) and (B * V * V) arrays: each link's
     # transmitter, its receiver, and its weight C[b, j, k]
     rows = np.arange(B)[:, None]
@@ -273,11 +299,6 @@ def run_batch(
     jk_rows = rows * V * V + jk
     dst_flat = dst_rows.ravel()
 
-    adaptive = pol.kind in AS_KINDS
-    random_subset = pol.kind == "random_sampling"
-    every = not (adaptive or random_subset)  # every node samples: no sampled-node mask
-    per_link = pol.kind == "probabilistic_transmission"
-    always_tx = pol.kind != "as_censoring"
     by_link = cfg.comm_unit == "link"
     D = int(deg.max())
     N = V * D if per_link else E  # the ACW terms: per link slot, or per link
@@ -337,8 +358,16 @@ def run_batch(
     else:
         c = np.empty((B, E))
         inv_flat = inv.reshape(B * E)
-        # per node: the last psi each node transmitted, psi itself when all do
-        X = PSI if always_tx else np.zeros((B, V, M))
+        # the numerator of the inverse variances: 0 on the links a row does not
+        # have, so that a non_cooperative row's self link gets c_kk = inv / inv = 1
+        num = has.astype(float)
+        # per node: the last psi each node transmitted, psi itself when all do;
+        # a censoring row transmits where it samples, any other row everywhere
+        if always_tx:
+            X = PSI
+        else:
+            X = np.zeros((B, V, M))
+            tx, uncensored = np.empty((B, V), dtype=bool), ~censor_col
         # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2, then ||w_k||^2,
         # in one buffer, so that one take gathers each link's three terms
         BVV = B * V * V
@@ -349,20 +378,28 @@ def run_batch(
         C = np.zeros((B, V, V))
         C_flat, CT = C.reshape(B, V * V), C.transpose(0, 2, 1)
     if adaptive:
-        alpha = np.full((B, V), pol.alpha_plus)
+        # a non-adaptive row takes mu_s = beta = 0, so its alpha never moves
+        alpha_plus = next(p.alpha_plus for p in pols if p.kind in AS_KINDS)
+        alpha = np.full((B, V), alpha_plus)
         pp = np.empty((B, V))
         eps2, q = np.zeros((2, B, V, 1))  # columns for the (V, V) @ (V, 1) product
         q0 = q[:, :, 0]
-        mu_s, beta = (np.array([[getattr(p, k)] for p in pols]) for k in ("mu_s", "beta"))
-        alpha_plus = pol.alpha_plus
+        mu_s, beta = (np.array([[getattr(p, k) or 0.0] for p in pols]) for k in ("mu_s", "beta"))
 
     msd = np.empty((B, T))
     sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
     bitmap = np.empty((B, T, V), dtype=bool)
-    if every:
-        bitmap[...] = True
-    # comms of a transmitting node: its out-links, or one broadcast if it has any
-    unit = (out_deg if by_link else out_deg > 0).astype(np.int64)
+    bitmap[~(ad_col | rand_col)[:, 0]] = True  # the rows without a sampler
+    # per kind, its rows and, from the links they have, the node degrees and
+    # comm units its counters read; the comms of a transmitting node are its
+    # out-links, or one broadcast if it has any
+    row_kinds = []
+    for kind in dict.fromkeys(kinds):
+        rows_k = np.flatnonzero(np.equal(kinds, kind))
+        has_k = has[rows_k[0]]
+        deg_k = np.bincount(dst_e, weights=has_k, minlength=V).astype(np.int64)
+        out_k = np.bincount(src_e, weights=has_k & noself, minlength=V)
+        row_kinds.append((rows_k, kind, deg_k, (out_k if by_link else out_k > 0).astype(np.int64)))
     states = np.empty((B, T, V, M)) if record_states else None
     # a block's inputs and the M-1 before, newest first, per distinct realization
     taps = np.zeros((len(distinct), V, BLOCK + M - 1))
@@ -395,8 +432,8 @@ def run_batch(
             mu_blk = mu_blk.take(row_signal, axis=0, out=mu_rows[:, :, :L], mode="clip")
         # the block's masks
         if random_subset:
-            for b, (p, rng) in enumerate(zip(pols, policy_rngs)):
-                bitmap[b, n0:n0 + L] = draw_sampled_set(p, V, rng, L)
+            for b in np.flatnonzero(rand_col):
+                bitmap[b, n0:n0 + L] = draw_sampled_set(pols[b], V, policy_rngs[b], L)
         if per_link:
             links = np.stack([draw_active_links(p.p, (L, src_ns.size), rng)
                               for p, rng in zip(pols, policy_rngs)])
@@ -411,7 +448,7 @@ def run_batch(
             # decide
             s = bitmap[:, n]
             if adaptive:
-                np.greater_equal(alpha, 0, out=s)
+                np.greater_equal(alpha, 0, out=s, where=ad_col)
 
             # adapt: psi = w + (mu e s) u
             U = rows_taps[:, :, L - 1 - l:L - 1 - l + M]
@@ -436,7 +473,7 @@ def run_batch(
                 np.copyto(ww_slots, ww[:, :, None])
             else:
                 if not always_tx:
-                    np.copyto(X, PSI, where=s[:, :, None])
+                    np.copyto(X, PSI, where=np.logical_or(s, uncensored, out=tx)[:, :, None])
                 np.matmul(X, WT, out=G)
                 np.vecdot(X, X, out=xx)
                 gram.take(gather, out=terms[:3], mode="clip")
@@ -457,7 +494,7 @@ def run_batch(
                 np.matmul(inv_row, cache, out=W_row)
                 W /= colsum3
             else:
-                np.divide(1.0, S2e, out=inv)
+                np.divide(num, S2e, out=inv)
                 colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
                 np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
                 C_flat[:, jk] = c
@@ -487,13 +524,17 @@ def run_batch(
             raise NonFiniteStateError(
                 f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}", b)
 
-        # the block's counters, from its sampled nodes
+        # the block's counters, from its sampled nodes, per kind
         bits = bitmap[blk]
         sampled[blk] = np.count_nonzero(bits, axis=2)
-        mults[blk], adds[blk] = analysis.network_op_cost(
-            M, deg, sampled[blk], np.einsum("btv,v->bt", bits, deg), adaptive)
-        if not per_link:  # a node transmits iff it samples (censoring) or always
-            comms[blk] = unit.sum() if always_tx else np.einsum("btv,v->bt", bits, unit)
+        for rows_k, kind, deg_k, unit_k in row_kinds:
+            blk_k, bits_k = (rows_k, blk[1]), bits[rows_k]
+            mults[blk_k], adds[blk_k] = analysis.network_op_cost(
+                M, deg_k, sampled[blk_k], np.einsum("btv,v->bt", bits_k, deg_k),
+                kind in AS_KINDS)
+            if not per_link:  # a node transmits iff it samples (censoring) or always
+                comms[blk_k] = (np.einsum("btv,v->bt", bits_k, unit_k)
+                                if kind == "as_censoring" else unit_k.sum())
 
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)
@@ -532,27 +573,35 @@ def steady_windows(iterations: int, flip_iteration: int | None) -> dict[str, tup
 
 
 def _group_key(cfg: RunConfig) -> tuple:
-    """What the variants of one group share: all but the label and the row parameters."""
-    return replace(cfg, label=None, policy=None), cfg.policy.kind, cfg.policy.alpha_plus
+    """What the variants of one group share: all but the label and the policy, the
+    policy's engine path (per link or per node) and alpha_plus, which a
+    non-adaptive kind counts as the default."""
+    pol = cfg.policy
+    return (replace(cfg, label=None, policy=None), pol.kind == "probabilistic_transmission",
+            DEFAULT_ALPHA_PLUS if pol.alpha_plus is None else pol.alpha_plus)
 
 
 class VariantGroup:
     """Variants that run as the rows of shared batches.
 
-    The variants agree on everything except their label and the policy
-    parameters a batch row may vary (beta, mu_s, V_s, p).  Rows are
-    (variant, realization) pairs in variant-major order, run in batches of
-    CHUNK; each variant sums its own rows in realization order, so its
-    means are bit-identical to those of a group of one.  The rows run
-    lazily, on the first call of :meth:`means`, on the network passed to
-    it, which every variant of the group shares.
+    The variants agree on everything except their label and their policy,
+    and their policies share an engine path and an alpha_plus: every
+    per-node kind (full, as_sampling, as_censoring, random_sampling,
+    non_cooperative) may join one group, with any beta, mu_s and V_s,
+    while probabilistic_transmission variants, whatever their p, form
+    groups of their own.  Rows are (variant, realization) pairs in
+    variant-major order, run in batches of CHUNK; each variant sums its
+    own rows in realization order, so its means are bit-identical to those
+    of a group of one.  The rows run lazily, on the first call of
+    :meth:`means`, on the network passed to it, which every variant of the
+    group shares.
     """
 
     def __init__(self, configs):
         self.configs = list(configs)
         if len({_group_key(c) for c in self.configs}) != 1:
-            raise ValueError("the variants of a group may differ only in label, beta, mu_s, "
-                             "V_s and p")
+            raise ValueError("the variants of a group may differ only in label and policy, "
+                             "on one engine path and with one alpha_plus")
         self._means = None
 
     def means(self, cfg: RunConfig, mat: Materialized) -> dict[str, np.ndarray]:

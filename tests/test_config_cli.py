@@ -18,7 +18,7 @@ from asdnlms.config import (
     parse_config_text,
 )
 from asdnlms.harness import materialize, monte_carlo
-from asdnlms.presets import BETA_RATIOS, PRESET_NAMES, expand_preset
+from asdnlms.presets import BETA_RATIOS, PRESET_NAMES, PRESETS, expand_preset
 from asdnlms.sampling import PolicyConfig
 
 GOOD_CONFIG = """
@@ -104,11 +104,24 @@ class TestConfigParsing:
                 for f in fields(cls) if f.name not in sections}
         assert keys == set(_SCHEMA)
 
-    @pytest.mark.parametrize("key", ["policy.V_s", "env.flip_iteration"])
+    @pytest.mark.parametrize("key", ["policy.V_s", "env.flip_iteration", "policy.beta",
+                                     "policy.mu_s", "policy.alpha_plus", "policy.p",
+                                     "env.sigma2_v", "env.mu_tilde"])
     def test_none_is_absent(self, key):
         cfg = parse_config_text(f"policy.kind = full\n{key} = none\n")
         section, name = key.split(".")
         assert getattr(getattr(cfg, section), name) is None
+
+    def test_absent_alpha_plus_is_the_default(self):
+        cfg = parse_config_text("policy.kind = as_sampling\npolicy.beta = 0.68\n"
+                                "policy.mu_s = 0.1571\npolicy.alpha_plus = none\n")
+        assert cfg.policy.alpha_plus == 4.0
+
+    @pytest.mark.parametrize("key", ["run.label", "run.out_dir", "topology.edge_list"])
+    def test_none_is_a_string_value(self, key):
+        cfg = parse_config_text(f"policy.kind = full\n{key} = none\n")
+        section, name = key.split(".")
+        assert getattr(cfg if section == "run" else getattr(cfg, section), name) == "none"
 
     def test_readme_config_block(self):
         # the README's config example parses and names every key
@@ -382,6 +395,9 @@ class TestCli:
         assert calls == labels
         assert results == [(label, label) for label in labels]
         assert batches and all(len(stack) == 1 for stack in batches)
+        # at one realization the per-node variants share one batch, and the
+        # per-link variant runs in its own
+        assert len(batches) == {"fig_msd_cost": 1, "fig_beta_sweep": 1, "fig_censoring": 2}[name]
 
     def test_unwritable_out_dir_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -464,6 +480,20 @@ def test_perfbench_traced_names_resolve():
     for module, attr in pairs:
         assert module in ("cli", "harness")
         assert hasattr(importlib.import_module(f"asdnlms.{module}"), attr), (module, attr)
+
+
+def test_perfbench_preset_labels_match_presets(monkeypatch):
+    """perfbench's output checks find each preset variant by the label it lists."""
+    import importlib.util
+    import sys
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.PRESET_LABELS == {name: tuple(label for label, _ in variants)
+                                       for name, (_, variants) in PRESETS.items()}
 
 
 def test_harness_keeps_the_names_perfbench_traces():

@@ -9,6 +9,7 @@ from asdnlms.config import ConfigError, TopologySpec
 from asdnlms.harness import (
     BLOCK,
     CHUNK,
+    COUNTERS,
     MonteCarloResult,
     VariantGroup,
     group_variants,
@@ -431,7 +432,7 @@ class TestWorkspace:
 
 
 class TestGroupedRows:
-    """Variants of one kind as the rows of one batch: each row is its variant's own run."""
+    """Variants as the rows of one batch: each row is its variant's own run."""
 
     ROW_POLICIES = {
         "as_sampling": [dict(beta=0.68, mu_s=2.0), dict(beta=1.5, mu_s=1.0),
@@ -456,6 +457,22 @@ class TestGroupedRows:
             single = run_realization(replace(cfg, policy=pol), r, mat)
             for name in SERIES:
                 assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), name
+
+    @pytest.mark.parametrize("comm_unit", ["link", "broadcast"])
+    def test_mixed_kind_rows_match_single_runs(self, comm_unit):
+        cfg = replace(make_config(V=6, M=4, iterations=BLOCK + 40, seed=9, flip=BLOCK // 2),
+                      comm_unit=comm_unit)
+        mat = materialize(cfg)
+        pols = [PolicyConfig(kind="full"), PolicyConfig(kind="as_sampling", beta=0.68, mu_s=2.0),
+                PolicyConfig(kind="as_censoring", beta=1.5, mu_s=1.0),
+                PolicyConfig(kind="random_sampling", V_s=3), PolicyConfig(kind="non_cooperative")]
+        rows = [(pol, r) for r in (0, 1) for pol in pols]
+        batch = run_batch(cfg, [r for _, r in rows], mat, policies=[p for p, _ in rows])
+        for b, (pol, r) in enumerate(rows):
+            single = run_realization(replace(cfg, policy=pol), r, mat)
+            for name in SERIES:
+                assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), \
+                    (pol.kind, r, name)
 
     def test_beta_sweep_rows_match_single_runs(self):
         cfgs = expand_preset("fig_beta_sweep", seed=2, realizations=1, iterations=300)
@@ -497,6 +514,30 @@ class TestGroupedRows:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert got.manifest == want.manifest
 
+    @pytest.mark.parametrize("name, batches", [("fig_msd_cost", [CHUNK, 15 - CHUNK]),
+                                               ("fig_censoring", [CHUNK, 12 - CHUNK, 3])])
+    def test_preset_groups_match_standalone_campaigns(self, name, batches, monkeypatch):
+        # at R = 3 the per-node variants' rows span a chunk boundary, and each
+        # batch holds rows of several kinds
+        import asdnlms.harness as harness
+
+        cfgs = expand_preset(name, seed=5, realizations=3, iterations=160)
+        mat = materialize(cfgs[0])
+        alone = [monte_carlo(cfg, mat) for cfg in cfgs]
+        sizes, run = [], harness.run_batch
+
+        def counting(*args, **kwargs):
+            sizes.append(len(args[1]))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", counting)
+        grouped = [monte_carlo(cfg, mat, group) for cfg, group in zip(cfgs, group_variants(cfgs))]
+        assert sizes == batches
+        for got, want in zip(grouped, alone):
+            for name in ("msd", "msd_db", "msd_db_smoothed") + COUNTERS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.manifest == want.manifest
+
     def test_non_finite_row_names_its_variant(self, monkeypatch):
         # with two rows per batch, the second batch holds only v1's rows; it
         # fails inside the monte_carlo call of v0, which runs the whole group
@@ -521,18 +562,49 @@ class TestGroupedRows:
                            match="v4, realization 0: network MSD is not finite at iteration 30"):
             monte_carlo(cfgs[0], materialize(base), groups[0])
 
+    def test_non_finite_non_cooperative_row_names_its_variant(self, monkeypatch):
+        # the first batch holds nc's two rows and one row of full; only nc's
+        # row of realization 1 sees the NaN
+        import asdnlms.harness as harness
+
+        draw, draws = harness.draw_signal_blocks, []
+
+        def nan_in_realization_1(env, streams, iterations):
+            inputs, noises = draw(env, streams, iterations)
+            draws.append(None)
+            if len(draws) == 1:
+                inputs[1, 2, 30] = np.nan
+            return inputs, noises
+
+        monkeypatch.setattr(harness, "CHUNK", 3)
+        monkeypatch.setattr(harness, "draw_signal_blocks", nan_in_realization_1)
+        base = make_config(kind="non_cooperative", V=6, M=4, iterations=60, realizations=2)
+        cfgs = [replace(base, label="nc"),
+                replace(base, label="dnlms", policy=PolicyConfig(kind="full"))]
+        groups = group_variants(cfgs)
+        assert groups[0] is groups[1]
+        with pytest.raises(harness.NonFiniteStateError,
+                           match="nc, realization 1: network MSD is not finite at iteration 30"):
+            monte_carlo(cfgs[1], materialize(base), groups[1])
+
     def test_grouping_rule(self, tmp_path):
         base = make_config(kind="as_sampling", V=6, flip=100)
+        # every per-node kind joins the group, whatever its parameters
         same = [replace(base, label="a"),
-                replace(base, label="b", policy=replace(base.policy, beta=1.1, mu_s=0.3))]
+                replace(base, label="b", policy=replace(base.policy, beta=1.1, mu_s=0.3)),
+                replace(base, policy=replace(base.policy, kind="as_censoring")),
+                make_config(kind="full", V=6, flip=100),
+                make_config(kind="random_sampling", V=6, flip=100, V_s=2),
+                make_config(kind="non_cooperative", V=6, flip=100)]
         apart = [
             replace(base, policy=replace(base.policy, alpha_plus=3.0)),
+            replace(base, policy=PolicyConfig(kind="as_censoring", beta=0.68, mu_s=0.1571,
+                                              alpha_plus=2.0)),
             replace(base, seed=8),
             replace(base, env=replace(base.env, flip_iteration=None)),
             replace(base, topology=replace(base.topology, radius=0.5)),
             replace(base, comm_unit="broadcast"),
-            replace(base, policy=replace(base.policy, kind="as_censoring")),
-            make_config(kind="full", V=6, flip=100),
+            make_config(kind="probabilistic_transmission", V=6, flip=100),
         ]
         groups = group_variants([base] + same + apart)
         assert groups[0] is groups[1] is groups[2]
@@ -543,11 +615,15 @@ class TestGroupedRows:
                 VariantGroup([base, other])
 
     def test_batch_rejects_rows_of_two_kinds_or_alpha_plus(self):
+        # per-node rows of any kinds share a batch; a per-link row and a second
+        # adaptive alpha_plus do not
         cfg = make_config(kind="as_sampling", V=6, iterations=5)
         mat = materialize(cfg)
-        for other in (replace(cfg.policy, kind="as_censoring"),
-                      replace(cfg.policy, alpha_plus=2.0)):
-            with pytest.raises(ValueError, match="one kind and one alpha_plus"):
+        for other in (PolicyConfig(kind="probabilistic_transmission", p=0.5),
+                      replace(cfg.policy, alpha_plus=2.0),
+                      replace(cfg.policy, kind="as_censoring", alpha_plus=2.0)):
+            with pytest.raises(ValueError, match="all per-link or all per-node, and its "
+                                                 "adaptive rows must share one alpha_plus"):
                 run_batch(cfg, [0, 1], mat, policies=[cfg.policy, other])
         with pytest.raises(ValueError, match="one policy per row"):
             run_batch(cfg, [0, 1], mat, policies=[cfg.policy])

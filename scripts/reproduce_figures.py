@@ -4,8 +4,9 @@
 Produces, per preset, one CSV per variant plus a manifest; the beta sweep
 also writes bounds.csv with the theoretical band next to the measured
 steady-state sampled count.  Full fidelity (100 realizations x 2e4
-iterations) takes tens of minutes; --quick runs a reduced campaign for a
-fast look at the curve shapes.
+iterations) took 6 min 52 s on a 2-core Xeon with one BLAS thread per
+process, its batches running on both cores (12.8 CPU-minutes);
+--quick runs a reduced campaign for a fast look at the curve shapes.
 
 Usage:
     python scripts/reproduce_figures.py [--out DIR] [--seed S] [--quick]

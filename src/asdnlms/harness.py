@@ -8,10 +8,11 @@ A realization executes the synchronous round loop
 for the configured number of iterations, recording per-iteration network
 MSD, sampled nodes and communications; the operation counts follow from the
 sampled nodes through the :mod:`analysis` cost model.  Realizations are
-independent: a campaign runs the (variant, realization) rows of a group of
-variants on one engine path (per node or per link) in batches of CHUNK,
-one loop over (B, V, M) arrays, and aggregation is an element-wise mean
-per variant in realization order.
+independent: a campaign runs the (variant, realization) rows of variants
+that share a network in batches of at most CHUNK rows on one engine path
+(per node or per link), one loop over (B, V, M) arrays each, with its
+batches spread over the CPUs this process may run on; aggregation is an
+element-wise mean per variant in realization order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -19,6 +20,11 @@ policies see identical signal streams — paired comparisons stay paired.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
@@ -572,36 +578,139 @@ def steady_windows(iterations: int, flip_iteration: int | None) -> dict[str, tup
     }
 
 
+def _campaign_key(cfg: RunConfig) -> RunConfig:
+    """What the variants of one campaign share: all but the label and the policy."""
+    return replace(cfg, label=None, policy=None)
+
+
 def _group_key(cfg: RunConfig) -> tuple:
-    """What the variants of one group share: all but the label and the policy, the
-    policy's engine path (per link or per node) and alpha_plus, which a
-    non-adaptive kind counts as the default."""
+    """What the rows of one batch share: the campaign, the policy's engine path
+    (per link or per node) and alpha_plus, which a non-adaptive kind counts as
+    the default."""
     pol = cfg.policy
-    return (replace(cfg, label=None, policy=None), pol.kind == "probabilistic_transmission",
+    return (_campaign_key(cfg), pol.kind == "probabilistic_transmission",
             DEFAULT_ALPHA_PLUS if pol.alpha_plus is None else pol.alpha_plus)
 
 
+def usable_cpus() -> int:
+    """The CPUs a campaign's batches run on: those of this process's affinity
+    mask.  1 where ``os.fork`` or ``os.sched_getaffinity`` does not exist, or
+    while other threads run, which a forked child would lack."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def plan_batches(configs, cpus: int) -> list[list[tuple[int, int]]]:
+    """A campaign's batches, each a list of (variant index, realization) rows.
+
+    The rows of the variants with one :func:`_group_key` run in variant-major
+    order, in batches of CHUNK, key after key in the order of their first
+    variants.  While there are fewer batches than ``cpus``, the largest (the
+    first of them) splits in halves, unless every batch has one row.
+    """
+    keyed: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        keyed.setdefault(_group_key(cfg), []).append(i)
+    plan = []
+    for members in keyed.values():
+        rows = [(i, r) for i in members for r in range(configs[i].realizations)]
+        plan += [rows[k:k + CHUNK] for k in range(0, len(rows), CHUNK)]
+    while len(plan) < cpus:
+        k = max(range(len(plan)), key=lambda k: len(plan[k]))
+        if len(plan[k]) == 1:
+            break
+        half = (len(plan[k]) + 1) // 2
+        plan[k:k + 1] = [plan[k][:half], plan[k][half:]]
+    return plan
+
+
+def _run_batches(plan, run, take, workers: int) -> None:
+    """``take(rows, run(rows))`` for the rows of each batch of ``plan``, in plan order.
+
+    Batch k runs in worker k mod ``workers``.  Worker 0 is this process; the
+    others are forked children, which pickle each result (or the exception
+    ``run`` raised, and stop) to a pipe as soon as it is done.  This process
+    reads the results in plan order, so each process holds one batch at a
+    time, and re-raises a child's exception at its batch, where a serial run
+    would raise it.  Every child is killed and reaped before this returns or
+    raises; a child whose parent has died exits at its next write.
+    """
+    pids, readers = [], []
+    try:
+        for w in range(1, workers):
+            r, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(plan[w::workers], run, out, [f.fileno() for f in readers] + [r])
+            pids.append(pid)
+            os.close(out)
+            readers.append(os.fdopen(r, "rb"))
+        for k, batch in enumerate(plan):
+            if k % workers == 0:
+                take(batch, run(batch))
+                continue
+            try:
+                result = pickle.load(readers[k % workers - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"batch {k}'s worker died without its result") from None
+            if isinstance(result, Exception):
+                raise result
+            take(batch, result)
+    finally:
+        for pid in pids:
+            # a child that has exited stays a zombie until reaped; none is left
+            # to reap where SIGCHLD is ignored
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for f in readers:
+            f.close()
+
+
+def _work(batches, run, out: int, read_ends) -> None:
+    """A forked worker: run ``batches`` and pickle each result to ``out``; never returns."""
+    code = 1
+    try:
+        for fd in read_ends:  # only the parent holds them, so a write fails once it dies
+            os.close(fd)
+        with os.fdopen(out, "wb") as pipe:
+            for batch in batches:
+                try:
+                    result = run(batch)
+                except Exception as exc:
+                    result = exc
+                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
+                if isinstance(result, Exception):
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
 class VariantGroup:
-    """Variants that run as the rows of shared batches.
+    """The variants of one campaign, run as the rows of shared batches.
 
     The variants agree on everything except their label and their policy,
-    and their policies share an engine path and an alpha_plus: every
-    per-node kind (full, as_sampling, as_censoring, random_sampling,
-    non_cooperative) may join one group, with any beta, mu_s and V_s,
-    while probabilistic_transmission variants, whatever their p, form
-    groups of their own.  Rows are (variant, realization) pairs in
-    variant-major order, run in batches of CHUNK; each variant sums its
-    own rows in realization order, so its means are bit-identical to those
-    of a group of one.  The rows run lazily, on the first call of
-    :meth:`means`, on the network passed to it, which every variant of the
-    group shares.
+    so they share one network.  Rows are (variant, realization) pairs,
+    planned by :func:`plan_batches`: every per-node kind (full,
+    as_sampling, as_censoring, random_sampling, non_cooperative) may share
+    a batch, with any beta, mu_s and V_s, provided its adaptive rows share
+    an alpha_plus, while probabilistic_transmission rows, whatever their p,
+    run in batches of their own.  The batches run on :func:`usable_cpus`
+    processes, this one and forked children; this process adds each batch's
+    rows in plan order, so each variant sums its own rows in realization
+    order and its means are bit-identical to those of a group of one, on
+    any number of CPUs.  The rows run lazily, on the first call of
+    :meth:`means`, on the network passed to it.
     """
 
     def __init__(self, configs):
         self.configs = list(configs)
-        if len({_group_key(c) for c in self.configs}) != 1:
-            raise ValueError("the variants of a group may differ only in label and policy, "
-                             "on one engine path and with one alpha_plus")
+        if len({_campaign_key(c) for c in self.configs}) != 1:
+            raise ValueError("the variants of a group may differ only in label and policy")
         self._means = None
 
     def means(self, cfg: RunConfig, mat: Materialized) -> dict[str, np.ndarray]:
@@ -613,19 +722,24 @@ class VariantGroup:
     def _run(self, mat: Materialized) -> list[dict[str, np.ndarray]]:
         cfg = self.configs[0]
         T, R = cfg.iterations, cfg.realizations
-        rows = [(i, r) for i in range(len(self.configs)) for r in range(R)]
+        cpus = usable_cpus()
+        plan = plan_batches(self.configs, cpus)
         acc = [{k: np.zeros(T) for k in ("msd",) + COUNTERS} for _ in self.configs]
-        for first in range(0, len(rows), CHUNK):
-            chunk = rows[first:first + CHUNK]
+
+        def run(rows):
             try:
-                batch = run_batch(cfg, [r for _, r in chunk], mat,
-                                  policies=[self.configs[i].policy for i, _ in chunk])
+                return run_batch(cfg, [r for _, r in rows], mat,
+                                 policies=[self.configs[i].policy for i, _ in rows])
             except NonFiniteStateError as exc:  # name the variant, which may not be cfg
-                raise NonFiniteStateError(f"{self.configs[chunk[exc.row][0]].name()}, {exc}",
+                raise NonFiniteStateError(f"{self.configs[rows[exc.row][0]].name()}, {exc}",
                                           exc.row) from exc
-            for b, (i, _) in enumerate(chunk):  # in realization order, whatever CHUNK is
-                for k, a in acc[i].items():
-                    a += getattr(batch, k)[b]
+
+        def take(rows, batch):
+            for b, (i, _) in enumerate(rows):  # in realization order, whatever the plan
+                for key, a in acc[i].items():
+                    a += getattr(batch, key)[b]
+
+        _run_batches(plan, run, take, min(cpus, len(plan)))
         for a in acc:
             for v in a.values():
                 v /= R
@@ -633,12 +747,12 @@ class VariantGroup:
 
 
 def group_variants(configs) -> list[VariantGroup]:
-    """The group of each config: configs that may share batches share one group."""
-    keyed: dict[tuple, list[RunConfig]] = {}
+    """The group of each config: configs that share a network share one group."""
+    keyed: dict[RunConfig, list[RunConfig]] = {}
     for cfg in configs:
-        keyed.setdefault(_group_key(cfg), []).append(cfg)
+        keyed.setdefault(_campaign_key(cfg), []).append(cfg)
     groups = {key: VariantGroup(members) for key, members in keyed.items()}
-    return [groups[_group_key(cfg)] for cfg in configs]
+    return [groups[_campaign_key(cfg)] for cfg in configs]
 
 
 def monte_carlo(cfg: RunConfig, mat: Materialized | None = None,
@@ -646,7 +760,11 @@ def monte_carlo(cfg: RunConfig, mat: Materialized | None = None,
     """Element-wise mean over the configured realizations, plus summaries.
 
     ``group``, which holds ``cfg``, runs ``cfg``'s realizations together
-    with its other variants; without it ``cfg`` is a group of one.
+    with its other variants; without it ``cfg`` is a group of one.  The
+    group's batches run here, on :func:`usable_cpus` processes, the first
+    time one of its variants is asked for; every child process is reaped
+    before this returns or raises, and the means do not depend on the
+    number of CPUs.
     """
     if mat is None:
         mat = materialize(cfg)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -385,6 +386,7 @@ class TestCli:
             batches.append(list(inside))
             return run_batch(*args, **kwargs)
 
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)  # a child's counts stay in the child
         monkeypatch.setattr(cli, "materialize", counting)
         monkeypatch.setattr(cli, "monte_carlo", recording)
         monkeypatch.setattr(harness, "run_batch", checked_run_batch)
@@ -423,6 +425,63 @@ class TestCli:
         out = tmp_path / "results"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "realization 0: network MSD is not finite at iteration 30" in capsys.readouterr().err
+        assert not (out / "as_sampling.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
+    @pytest.mark.parametrize("argv", [
+        ["preset", "fig_censoring", "--realizations", "3", "--iterations", "200"],
+        ["preset", "fig_beta_sweep", "--realizations", "3", "--iterations", "150"],
+        ["run", "--config", "8 realizations"],
+    ])
+    def test_outputs_identical_on_one_and_two_cpus(self, argv, tmp_path, monkeypatch):
+        import asdnlms.harness as harness
+
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(GOOD_CONFIG, "run.realizations", "8"))
+        argv = [str(path) if a == "8 realizations" else a for a in argv]
+        run_batch, pids = harness.run_batch, tmp_path / "pids"
+
+        def logging_pid(*args, **kwargs):  # in whichever process runs the batch
+            with pids.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", logging_pid)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+            assert len(set(pids.read_text().split())) == cpus
+            pids.unlink()
+        assert outputs[0] == outputs[1]
+        assert any(name.endswith(".csv") for name in outputs[0])
+        assert ("bounds.csv" in outputs[0]) == ("fig_beta_sweep" in argv)
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
+    def test_non_finite_state_in_a_child_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # 8 realizations on 2 CPUs: realizations 4-7 run in the child
+        import asdnlms.harness as harness
+
+        parent, draw = os.getpid(), harness.draw_signal_blocks
+
+        def nan_in_the_child(env, streams, iterations):
+            inputs, noises = draw(env, streams, iterations)
+            if os.getpid() != parent:
+                inputs[0, 2, 30] = np.nan
+            return inputs, noises
+
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "draw_signal_blocks", nan_in_the_child)
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(GOOD_CONFIG, "run.realizations", "8"))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert ("as_sampling, realization 4: network MSD is not finite at iteration 30"
+                in capsys.readouterr().err)
         assert not (out / "as_sampling.csv").exists()
 
     def test_edge_list_read_once_per_materialize(self, tmp_path, monkeypatch):

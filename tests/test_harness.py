@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +18,12 @@ from asdnlms.harness import (
     materialize,
     monte_carlo,
     moving_average,
+    plan_batches,
     run_batch,
     run_realization,
     steady_windows,
     to_db,
+    usable_cpus,
     write_csv,
     write_manifest,
 )
@@ -502,6 +506,7 @@ class TestGroupedRows:
             batches.append(len(args[1]))
             return run(*args, **kwargs)
 
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)  # a child's counts stay in the child
         monkeypatch.setattr(harness, "run_batch", counting)
         groups = group_variants(cfgs)
         assert all(g is groups[0] for g in groups)
@@ -530,6 +535,7 @@ class TestGroupedRows:
             sizes.append(len(args[1]))
             return run(*args, **kwargs)
 
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)  # a child's counts stay in the child
         monkeypatch.setattr(harness, "run_batch", counting)
         grouped = [monte_carlo(cfg, mat, group) for cfg, group in zip(cfgs, group_variants(cfgs))]
         assert sizes == batches
@@ -552,6 +558,7 @@ class TestGroupedRows:
                 inputs[0, 2, 30] = np.nan
             return inputs, noises
 
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)  # a child's counts stay in the child
         monkeypatch.setattr(harness, "CHUNK", 2)
         monkeypatch.setattr(harness, "draw_signal_blocks", nan_in_second_batch)
         base = make_config(kind="random_sampling", V=6, M=4, iterations=60, realizations=2)
@@ -576,6 +583,7 @@ class TestGroupedRows:
                 inputs[1, 2, 30] = np.nan
             return inputs, noises
 
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)  # a child's counts stay in the child
         monkeypatch.setattr(harness, "CHUNK", 3)
         monkeypatch.setattr(harness, "draw_signal_blocks", nan_in_realization_1)
         base = make_config(kind="non_cooperative", V=6, M=4, iterations=60, realizations=2)
@@ -589,30 +597,38 @@ class TestGroupedRows:
 
     def test_grouping_rule(self, tmp_path):
         base = make_config(kind="as_sampling", V=6, flip=100)
-        # every per-node kind joins the group, whatever its parameters
+        # every policy joins the campaign, whatever its kind and parameters
         same = [replace(base, label="a"),
                 replace(base, label="b", policy=replace(base.policy, beta=1.1, mu_s=0.3)),
                 replace(base, policy=replace(base.policy, kind="as_censoring")),
                 make_config(kind="full", V=6, flip=100),
                 make_config(kind="random_sampling", V=6, flip=100, V_s=2),
                 make_config(kind="non_cooperative", V=6, flip=100)]
-        apart = [
+        # ... but these run in batches of their own
+        own_batch = [
             replace(base, policy=replace(base.policy, alpha_plus=3.0)),
             replace(base, policy=PolicyConfig(kind="as_censoring", beta=0.68, mu_s=0.1571,
                                               alpha_plus=2.0)),
+            make_config(kind="probabilistic_transmission", V=6, flip=100),
+        ]
+        apart = [
             replace(base, seed=8),
             replace(base, env=replace(base.env, flip_iteration=None)),
             replace(base, topology=replace(base.topology, radius=0.5)),
             replace(base, comm_unit="broadcast"),
-            make_config(kind="probabilistic_transmission", V=6, flip=100),
         ]
-        groups = group_variants([base] + same + apart)
-        assert groups[0] is groups[1] is groups[2]
-        assert groups[0].configs == [base] + same
+        campaign = [base] + same + own_batch
+        groups = group_variants(campaign + apart)
+        assert all(g is groups[0] for g in groups[:len(campaign)])
+        assert groups[0].configs == campaign
         assert len({id(g) for g in groups}) == 1 + len(apart)
         for other in apart:
             with pytest.raises(ValueError, match="may differ only"):
                 VariantGroup([base, other])
+        n = 1 + len(same)
+        plan = plan_batches(campaign, cpus=1)
+        assert [[i for i, _ in batch] for batch in plan] == [list(range(n)), [n], [n + 1],
+                                                             [n + 2]]
 
     def test_batch_rejects_rows_of_two_kinds_or_alpha_plus(self):
         # per-node rows of any kinds share a batch; a per-link row and a second
@@ -627,6 +643,148 @@ class TestGroupedRows:
                 run_batch(cfg, [0, 1], mat, policies=[cfg.policy, other])
         with pytest.raises(ValueError, match="one policy per row"):
             run_batch(cfg, [0, 1], mat, policies=[cfg.policy])
+
+
+class TestBatchPlan:
+    def test_one_cpu_runs_variant_major_chunks_per_batch_key(self):
+        cfgs = expand_preset("fig_censoring", realizations=3)  # pt_dnlms is variant 3
+        per_node = [(i, r) for i in (0, 1, 2, 4) for r in range(3)]
+        assert plan_batches(cfgs, 1) == [per_node[:CHUNK], per_node[CHUNK:],
+                                         [(3, r) for r in range(3)]]
+
+    @pytest.mark.parametrize("cfgs, cpus, plan", [
+        # one kind, 8 rows: one batch split in halves
+        ([make_config(realizations=8)], 2, [[(0, r) for r in range(4)],
+                                            [(0, r) for r in range(4, 8)]]),
+        # the largest batch splits first, and the rows keep their order
+        ([make_config(realizations=8)], 3, [[(0, 0), (0, 1)], [(0, 2), (0, 3)],
+                                            [(0, r) for r in range(4, 8)]]),
+        ([make_config(realizations=3)], 8, [[(0, 0)], [(0, 1)], [(0, 2)]]),
+        # as many batches as CPUs already: a 4-row per-node and a 1-row per-link batch
+        (expand_preset("fig_censoring", realizations=1), 2,
+         [[(0, 0), (1, 0), (2, 0), (4, 0)], [(3, 0)]]),
+        ([make_config(realizations=1)], 2, [[(0, 0)]]),
+    ])
+    def test_fewer_batches_than_cpus_split(self, cfgs, cpus, plan):
+        assert plan_batches(cfgs, cpus) == plan
+
+    def test_usable_cpus_is_one_while_other_threads_run(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert usable_cpus() == 1  # a forked child would lack the thread
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_a_large_campaign_keeps_full_chunks(self):
+        cfgs = expand_preset("fig_msd_cost", realizations=16)
+        plan = plan_batches(cfgs, 2)
+        assert plan == plan_batches(cfgs, 1)
+        assert [len(batch) for batch in plan] == [CHUNK] * 10
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
+class TestForkedWorkers:
+    """Campaigns at 2 CPUs, on any host: the second batch runs in a forked child."""
+
+    @pytest.fixture
+    def campaign(self, monkeypatch):
+        # four rows split in halves: v2's rows run here, v4's in the child
+        import asdnlms.harness as harness
+
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        base = make_config(kind="random_sampling", V=6, M=4, iterations=60, realizations=2)
+        cfgs = [replace(base, label=f"v{vs}", policy=PolicyConfig(kind="random_sampling", V_s=vs))
+                for vs in (2, 4)]
+        assert plan_batches(cfgs, 2) == [[(0, 0), (0, 1)], [(1, 0), (1, 1)]]
+        return cfgs, group_variants(cfgs), materialize(base)
+
+    def test_matches_one_cpu_and_leaves_no_process(self, campaign, monkeypatch):
+        import asdnlms.harness as harness
+
+        cfgs, groups, mat = campaign
+        got = [monte_carlo(cfg, mat, group) for cfg, group in zip(cfgs, groups)]
+        _no_child_left()
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+        for cfg, result in zip(cfgs, got):
+            want = monte_carlo(cfg, mat)
+            for name in ("msd", "msd_db", "msd_db_smoothed") + COUNTERS:
+                assert np.array_equal(getattr(result, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("in_child, variant", [(True, "v4"), (False, "v2")])
+    def test_non_finite_batch_names_its_variant(self, campaign, in_child, variant, monkeypatch):
+        import asdnlms.harness as harness
+
+        cfgs, groups, mat = campaign
+        parent, draw = os.getpid(), harness.draw_signal_blocks
+
+        def nan_in_one_process(env, streams, iterations):
+            inputs, noises = draw(env, streams, iterations)
+            if (os.getpid() != parent) == in_child:
+                inputs[0, 2, 30] = np.nan
+            return inputs, noises
+
+        monkeypatch.setattr(harness, "draw_signal_blocks", nan_in_one_process)
+        with pytest.raises(harness.NonFiniteStateError, match=(
+                f"{variant}, realization 0: network MSD is not finite at iteration 30")):
+            monte_carlo(cfgs[0], mat, groups[0])
+        _no_child_left()
+
+    def test_interrupt_here_kills_the_children(self, campaign, monkeypatch):
+        import asdnlms.harness as harness
+
+        cfgs, groups, mat = campaign
+        parent, run_batch = os.getpid(), harness.run_batch
+
+        def interrupted_here(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_batch", interrupted_here)
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo(cfgs[0], mat, groups[0])
+        _no_child_left()
+
+    def test_single_row_forks_nothing(self, monkeypatch):
+        import asdnlms.harness as harness
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        cfg = make_config(iterations=30)
+        assert np.isfinite(monte_carlo(cfg).msd).all()
+
+    def test_worker_exits_at_its_next_write_once_the_parent_is_gone(self):
+        import asdnlms.harness as harness
+
+        results, out = os.pipe()
+        go_read, go = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                harness._work([[(0, 0)]], lambda rows: os.read(go_read, 1), out, [results])
+            finally:
+                os._exit(3)
+        os.close(out)
+        os.close(results)  # as the parent's death would
+        os.write(go, b"x")
+        _, status = os.waitpid(pid, 0)
+        os.close(go)
+        os.close(go_read)
+        assert os.waitstatus_to_exitcode(status) == 1  # BrokenPipeError, not a hang
 
 
 def _arrays(mat):

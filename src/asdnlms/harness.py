@@ -11,8 +11,9 @@ sampled nodes through the :mod:`analysis` cost model.  Realizations are
 independent: a campaign runs the (variant, realization) rows of variants
 that share a network in batches of at most CHUNK rows on one engine path
 (per node or per link), one loop over (B, V, M) arrays each, with its
-batches spread over the CPUs this process may run on; aggregation is an
-element-wise mean per variant in realization order.
+batches spread over the CPUs this process may run on, and a batch's signal
+blocks prepared ahead on a CPU left idle; aggregation is an element-wise
+mean per variant in realization order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -21,6 +22,8 @@ policies see identical signal streams — paired comparisons stay paired.
 from __future__ import annotations
 
 import contextlib
+import functools
+import mmap
 import os
 import pickle
 import signal
@@ -189,6 +192,7 @@ def run_batch(
     mat: Materialized | None = None,
     record_states: bool = False,
     policies=None,
+    prefetch: bool = False,
 ) -> RunSeries:
     """Run seeded realizations side by side, on (B, V, M) state.
 
@@ -221,14 +225,19 @@ def run_batch(
     these per-row steps the loop takes is set by plain flags before it, so
     a batch makes no call for the kinds it lacks.
 
-    Signals are drawn in blocks of BLOCK iterations; each block's
-    regressors are windows of one tap buffer, and its references d and step
-    sizes mu are computed before its iterations run.  The masks of a block
-    are set before it too: the sampled-node bitmap of a non-adaptive
-    sampler (a random sampler's V_s subsets come from one draw per
-    realization) and the fresh-link mask of probabilistic transmission.
-    Every block checks that the network MSD stayed finite and raises
-    :class:`NonFiniteStateError` otherwise.
+    Signals are drawn in blocks of BLOCK iterations by one generator,
+    :func:`_prepared_blocks`, which holds every random generator of the
+    batch: each block's regressors are windows of one tap buffer, and its
+    references d and step sizes mu are computed before its iterations run.
+    The masks of a block are set before it too: the sampled-node bitmap of
+    a random sampler (its V_s subsets come from one draw per realization)
+    and the fresh-link mask and communications of probabilistic
+    transmission.  With ``prefetch``, a batch of more than one block runs
+    that generator in a forked producer (:func:`_prefetched`), which
+    prepares the next block in shared memory while the loop runs this one;
+    a campaign passes it when it leaves a CPU idle.  The series are the
+    same either way.  Every block checks, here, that the network MSD stayed
+    finite and raises :class:`NonFiniteStateError` otherwise.
 
     Workspace: every array the round loop writes is allocated once per
     call, before the first block, and each iteration writes into it in
@@ -258,7 +267,7 @@ def run_batch(
     """
     if mat is None:
         mat = materialize(cfg)
-    top, env, mu_tilde = mat.topology, mat.env, mat.mu_tilde
+    top, env = mat.topology, mat.env
     rs = list(realizations)
     B, V, M, T = len(rs), top.node_count, env.M, cfg.iterations
     pols = [cfg.policy] * B if policies is None else list(policies)
@@ -271,13 +280,6 @@ def run_batch(
                          "adaptive rows must share one alpha_plus")
     for p in pols:
         p.validate_for(V)
-
-    # the signal streams of each distinct realization, and each row's
-    distinct = list(dict.fromkeys(rs))
-    shared = len(distinct) < B
-    row_signal = np.array([distinct.index(r) for r in rs])
-    streams = signal_streams(cfg.seed, distinct, V)
-    policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
 
     # (B, 1) columns of the rows of each kind, and the batch's flags, fixed
     # before the loop
@@ -313,7 +315,6 @@ def run_batch(
     w_opt = np.broadcast_to(env.w_opt, (B, V, M)).copy()
     flip_at = env.flip_iteration
     nu = cfg.env.nu
-    delta = cfg.env.delta
 
     # the workspace; one W suffices, as nothing reads the old W once the
     # combine has written the new one
@@ -346,9 +347,11 @@ def run_batch(
         valid[slot] = 1.0
         src_slot = np.zeros(N, dtype=np.int64)
         src_slot[slot] = src_e
-        # per receiver and slot: psi_src as last received, and its squared norm
+        # per receiver and slot: psi_src as last received, and its squared norm;
+        # a fresh slot's row is refreshed as one (M * 8)-byte void item
         cache = np.zeros((B, V, D, M))
-        cache_rows, psi_rows = cache.reshape(B * N, M), PSI.reshape(B * V, M)
+        row = np.dtype((np.void, M * cache.itemsize))
+        cache_rows, psi_rows = (a.reshape(-1, M).view(row)[:, 0] for a in (cache, PSI))
         src_flat = (rows * V + src_slot).ravel()
         xw = terms[0].reshape(B, V, D, 1)
         xx_flat = terms[1].reshape(B * N)
@@ -358,9 +361,6 @@ def run_batch(
         psi2_flat, colsum3 = psi2.reshape(B * V), colsum[:, :, None]
         inv_row, inv_slots = inv.reshape(B, V, 1, D), inv.reshape(B, V, D)
         ones_D = np.ones(D)
-        fresh = np.zeros((BLOCK, B, N), dtype=bool)  # per iteration and slot
-        fresh[:, :, slot[~noself]] = True  # the self link is always fresh
-        slot_ns = slot[noself]
     else:
         c = np.empty((B, E))
         inv_flat = inv.reshape(B * E)
@@ -382,7 +382,8 @@ def run_batch(
         xx, ww = gram[BVV:].reshape(2, B, V)
         gather = np.stack([jk_rows, BVV + src_rows, BVV + B * V + dst_rows])
         C = np.zeros((B, V, V))
-        C_flat, CT = C.reshape(B, V * V), C.transpose(0, 2, 1)
+        CT = C.transpose(0, 2, 1)
+        C_all, jk_all, c_all = C.reshape(-1), jk_rows.ravel(), c.reshape(-1)
     if adaptive:
         # a non-adaptive row takes mu_s = beta = 0, so its alpha never moves
         alpha_plus = next(p.alpha_plus for p in pols if p.kind in AS_KINDS)
@@ -407,140 +408,127 @@ def run_batch(
         out_k = np.bincount(src_e, weights=has_k & noself, minlength=V)
         row_kinds.append((rows_k, kind, deg_k, (out_k if by_link else out_k > 0).astype(np.int64)))
     states = np.empty((B, T, V, M)) if record_states else None
-    # a block's inputs and the M-1 before, newest first, per distinct realization
-    taps = np.zeros((len(distinct), V, BLOCK + M - 1))
-    if shared:  # the rows' copies of a block
-        rows_taps = np.empty((B, V, BLOCK + M - 1))
-        d_rows, mu_rows = np.empty((2, B, V, BLOCK))
-    else:
-        rows_taps = taps
+    # a block's inputs, as the round loop reads them: each row's tap buffer,
+    # references d and step sizes mu, and the masks drawn for the block
+    layout = {"taps": ((B, V, BLOCK + M - 1), float), "d": ((B, V, BLOCK), float),
+              "mu": ((B, V, BLOCK), float)}
+    rand_rows = np.flatnonzero(rand_col)
+    if random_subset:
+        layout["bits"] = ((rand_rows.size, BLOCK, V), bool)
+    if per_link:
+        layout |= {"fresh": ((BLOCK, B, N), bool), "comms": ((B, BLOCK), np.int64)}
+    prepare = functools.partial(_prepared_blocks, cfg, mat, rs, pols,
+                                links=(src_ns, slot[noself], slot[~noself]) if per_link else None)
+    count = -(-T // BLOCK)
+    blocks = (_prefetched(prepare, layout, count) if prefetch and count > 1
+              else prepare(_slots(layout, 1)))
 
-    for n0 in range(0, T, BLOCK):
-        L = min(BLOCK, T - n0)
-        blk = np.s_[:, n0:n0 + L]
-        # the block's references d and step sizes mu, (B, V, L), computed in place
-        # per distinct realization and then copied to the rows that share it
-        work, d_blk = draw_signal_blocks(env, streams, L)
-        taps[:, :, L:L + M - 1] = taps[:, :, :M - 1]
-        taps[:, :, :L] = work[:, :, ::-1]
-        # window L-1-l is the regressor u(n) of iteration n = n0 + l
-        win = sliding_window_view(taps[:, :, :L + M - 1], M, axis=2)
-        uw = np.vecdot(win, env.w_opt, out=work)[:, :, ::-1]
-        if flip_at is not None:
-            uw *= np.where(np.arange(n0, n0 + L) < flip_at, 1.0, -1.0)
-        d_blk += uw
-        uu = np.vecdot(win, win, out=work)
-        uu += delta
-        mu_blk = np.divide(mu_tilde[:, None], uu, out=uu)[:, :, ::-1]
-        if shared:
-            taps.take(row_signal, axis=0, out=rows_taps, mode="clip")
-            d_blk = d_blk.take(row_signal, axis=0, out=d_rows[:, :, :L], mode="clip")
-            mu_blk = mu_blk.take(row_signal, axis=0, out=mu_rows[:, :, :L], mode="clip")
-        # the block's masks
-        if random_subset:
-            for b in np.flatnonzero(rand_col):
-                bitmap[b, n0:n0 + L] = draw_sampled_set(pols[b], V, policy_rngs[b], L)
-        if per_link:
-            links = np.stack([draw_active_links(p.p, (L, src_ns.size), rng)
-                              for p, rng in zip(pols, policy_rngs)])
-            fresh[:L, :, slot_ns] = links.transpose(1, 0, 2)
-            comms[blk] = _link_comms(links, src_ns, V, by_link)
-
-        for l in range(L):
-            n = n0 + l
-            if n == flip_at:
-                np.negative(w_opt, out=w_opt)
-
-            # decide
-            s = bitmap[:, n]
-            if adaptive:
-                np.greater_equal(alpha, 0, out=s, where=ad_col)
-
-            # adapt: psi = w + (mu e s) u
-            U = rows_taps[:, :, L - 1 - l:L - 1 - l + M]
-            np.vecdot(U, W, out=e)
-            np.subtract(d_blk[:, :, l], e, out=e)
-            np.multiply(mu_blk[:, :, l], e, out=g)
-            if not every:
-                g *= s
-            np.multiply(g3, U, out=PSI)
-            PSI += W
-
-            # transmit, and the ACW terms over each link.  Every take below has
-            # valid indices; mode="clip" spares the copy that "raise" makes of out
-            np.vecdot(W, W, out=ww)
+    with contextlib.closing(blocks):
+        for n0, inputs in zip(range(0, T, BLOCK), blocks):
+            L = min(BLOCK, T - n0)
+            blk = np.s_[:, n0:n0 + L]
+            taps, d_blk, mu_blk = inputs["taps"], inputs["d"], inputs["mu"]
+            if random_subset:
+                bitmap[rand_rows, n0:n0 + L] = inputs["bits"][:, :L]
             if per_link:
-                fresh_rows = np.flatnonzero(fresh[l])
-                fresh_src = src_flat.take(fresh_rows)
-                cache_rows[fresh_rows] = psi_rows.take(fresh_src, axis=0)
-                np.vecdot(PSI, PSI, out=psi2)
-                xx_flat[fresh_rows] = psi2_flat.take(fresh_src)
-                np.matmul(cache, W_col, out=xw)
-                np.copyto(ww_slots, ww[:, :, None])
-            else:
-                if not always_tx:
-                    np.copyto(X, PSI, where=np.logical_or(s, uncensored, out=tx)[:, :, None])
-                np.matmul(X, WT, out=G)
-                np.vecdot(X, X, out=xx)
-                gram.take(gather, out=terms[:3], mode="clip")
+                fresh = inputs["fresh"]
+                comms[blk] = inputs["comms"][:, :L]
 
-            # ACW weights of sampled receivers; an idle receiver's come out unchanged
-            np.matmul(coef, terms_b, out=tmp)
-            if every:
-                np.maximum(tmp, SIGMA2_FLOOR, out=S2e)
-            else:
-                np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
-                np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst, mode="clip"), tmp)
+            for l in range(L):
+                n = n0 + l
+                if n == flip_at:
+                    np.negative(w_opt, out=w_opt)
 
-            # combine: per link, the weighted sum over a receiver's slots divided
-            # by the sum of its weights; per node, the combination matrix C
-            if per_link:
-                np.divide(valid, S2e, out=inv)
-                np.matmul(inv_slots, ones_D, out=colsum)
-                np.matmul(inv_row, cache, out=W_row)
-                W /= colsum3
-            else:
-                np.divide(num, S2e, out=inv)
-                colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
-                np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
-                C_flat[:, jk] = c
-                np.matmul(CT, X, out=W)
+                # decide
+                s = bitmap[:, n]
+                if adaptive:
+                    np.greater_equal(alpha, 0, out=s, where=ad_col)
 
-            # squared-error caches and alpha
-            if adaptive:
-                np.putmask(eps2, s, np.multiply(e, e, out=g))
-                np.matmul(CT, eps2, out=q)
-                np.multiply(phi_prime(alpha, alpha_plus), mu_s, out=pp)
-                np.subtract(q0, np.multiply(s, beta, out=g), out=g)
-                g *= pp
-                alpha += g
-                np.maximum(alpha, -alpha_plus, out=alpha)
-                np.minimum(alpha, alpha_plus, out=alpha)
+                # adapt: psi = w + (mu e s) u
+                U = taps[:, :, L - 1 - l:L - 1 - l + M]
+                np.vecdot(U, W, out=e)
+                np.subtract(d_blk[:, :, l], e, out=e)
+                np.multiply(mu_blk[:, :, l], e, out=g)
+                if not every:
+                    g *= s
+                np.multiply(g3, U, out=PSI)
+                PSI += W
 
-            # metrics: the squared deviations, divided by V once per block
-            np.subtract(w_opt, W, out=dev)
-            np.vecdot(dev_flat, dev_flat, out=msd[:, n])
-            if states is not None:
-                states[:, n] = W
+                # transmit, and the ACW terms over each link.  Every take below has
+                # valid indices; mode="clip" spares the copy that "raise" makes of out
+                np.vecdot(W, W, out=ww)
+                if per_link:
+                    fresh_rows = np.flatnonzero(fresh[l])
+                    fresh_src = src_flat.take(fresh_rows)
+                    cache_rows[fresh_rows] = psi_rows.take(fresh_src)
+                    np.vecdot(PSI, PSI, out=psi2)
+                    xx_flat[fresh_rows] = psi2_flat.take(fresh_src)
+                    np.matmul(cache, W_col, out=xw)
+                    np.copyto(ww_slots, ww[:, :, None])
+                else:
+                    if not always_tx:
+                        np.copyto(X, PSI, where=np.logical_or(s, uncensored, out=tx)[:, :, None])
+                    np.matmul(X, WT, out=G)
+                    np.vecdot(X, X, out=xx)
+                    gram.take(gather, out=terms[:3], mode="clip")
 
-        msd[blk] /= V
-        bad = ~np.isfinite(msd[blk])
-        if bad.any():
-            b, l = np.argwhere(bad)[0]
-            raise NonFiniteStateError(
-                f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}", b)
+                # ACW weights of sampled receivers; an idle receiver's come out unchanged
+                np.matmul(coef, terms_b, out=tmp)
+                if every:
+                    np.maximum(tmp, SIGMA2_FLOOR, out=S2e)
+                else:
+                    np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
+                    np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst, mode="clip"), tmp)
 
-        # the block's counters, from its sampled nodes, per kind
-        bits = bitmap[blk]
-        sampled[blk] = np.count_nonzero(bits, axis=2)
-        for rows_k, kind, deg_k, unit_k in row_kinds:
-            blk_k, bits_k = (rows_k, blk[1]), bits[rows_k]
-            mults[blk_k], adds[blk_k] = analysis.network_op_cost(
-                M, deg_k, sampled[blk_k], np.einsum("btv,v->bt", bits_k, deg_k),
-                kind in AS_KINDS)
-            if not per_link:  # a node transmits iff it samples (censoring) or always
-                comms[blk_k] = (np.einsum("btv,v->bt", bits_k, unit_k)
-                                if kind == "as_censoring" else unit_k.sum())
+                # combine: per link, the weighted sum over a receiver's slots divided
+                # by the sum of its weights; per node, the combination matrix C
+                if per_link:
+                    np.divide(valid, S2e, out=inv)
+                    np.matmul(inv_slots, ones_D, out=colsum)
+                    np.matmul(inv_row, cache, out=W_row)
+                    W /= colsum3
+                else:
+                    np.divide(num, S2e, out=inv)
+                    colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
+                    np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
+                    C_all[jk_all] = c_all
+                    np.matmul(CT, X, out=W)
+
+                # squared-error caches and alpha
+                if adaptive:
+                    np.putmask(eps2, s, np.multiply(e, e, out=g))
+                    np.matmul(CT, eps2, out=q)
+                    np.multiply(phi_prime(alpha, alpha_plus), mu_s, out=pp)
+                    np.subtract(q0, np.multiply(s, beta, out=g), out=g)
+                    g *= pp
+                    alpha += g
+                    np.maximum(alpha, -alpha_plus, out=alpha)
+                    np.minimum(alpha, alpha_plus, out=alpha)
+
+                # metrics: the squared deviations, divided by V once per block
+                np.subtract(w_opt, W, out=dev)
+                np.vecdot(dev_flat, dev_flat, out=msd[:, n])
+                if states is not None:
+                    states[:, n] = W
+
+            msd[blk] /= V
+            bad = ~np.isfinite(msd[blk])
+            if bad.any():
+                b, l = np.argwhere(bad)[0]
+                raise NonFiniteStateError(
+                    f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}", b)
+
+            # the block's counters, from its sampled nodes, per kind
+            bits = bitmap[blk]
+            sampled[blk] = np.count_nonzero(bits, axis=2)
+            for rows_k, kind, deg_k, unit_k in row_kinds:
+                blk_k, bits_k = (rows_k, blk[1]), bits[rows_k]
+                mults[blk_k], adds[blk_k] = analysis.network_op_cost(
+                    M, deg_k, sampled[blk_k], np.einsum("btv,v->bt", bits_k, deg_k),
+                    kind in AS_KINDS)
+                if not per_link:  # a node transmits iff it samples (censoring) or always
+                    comms[blk_k] = (np.einsum("btv,v->bt", bits_k, unit_k)
+                                    if kind == "as_censoring" else unit_k.sum())
 
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)
@@ -554,6 +542,156 @@ def _link_comms(links: np.ndarray, src: np.ndarray, V: int, by_link: bool) -> np
     reached = np.zeros(links.shape[:-1] + (V,), dtype=bool)
     reached[(*lead, src[link])] = True
     return np.count_nonzero(reached, axis=-1)
+
+
+def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols, slots, links=None):
+    """Yield the inputs of a batch's blocks, block k written into ``slots[k % len(slots)]``.
+
+    None of them reads the round's state.  Per row: the tap buffer (the
+    block's inputs and the M-1 before, newest first), the references d and
+    the step sizes mu, each drawn and windowed once per distinct realization
+    and copied to the rows that share it; the sampled-node bitmap of each
+    random_sampling row; and per link (``links`` holds the transmitter and
+    the slot of each non-self link, and the self slots, which are always
+    fresh) the fresh-slot mask and the communications of each iteration.
+    Every generator of the batch lives here, so its streams are drawn in the
+    same order wherever this runs.
+    """
+    top, env = mat.topology, mat.env
+    V, M, T = top.node_count, env.M, cfg.iterations
+    distinct = list(dict.fromkeys(rs))
+    row_signal = np.array([distinct.index(r) for r in rs])
+    streams = signal_streams(cfg.seed, distinct, V)
+    policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
+    rand_rows = [b for b, p in enumerate(pols) if p.kind == "random_sampling"]
+    if links is not None:
+        src_ns, slot_ns, slot_self = links
+        for out in slots:
+            out["fresh"][:, :, slot_self] = True
+    taps = np.zeros((len(distinct), V, BLOCK + M - 1))
+    for k, n0 in enumerate(range(0, T, BLOCK)):
+        L = min(BLOCK, T - n0)
+        out = slots[k % len(slots)]
+        work, d_blk = draw_signal_blocks(env, streams, L)
+        taps[:, :, L:L + M - 1] = taps[:, :, :M - 1]
+        taps[:, :, :L] = work[:, :, ::-1]
+        # window L-1-l is the regressor u(n) of iteration n = n0 + l
+        win = sliding_window_view(taps[:, :, :L + M - 1], M, axis=2)
+        uw = np.vecdot(win, env.w_opt, out=work)[:, :, ::-1]
+        if env.flip_iteration is not None:
+            uw *= np.where(np.arange(n0, n0 + L) < env.flip_iteration, 1.0, -1.0)
+        d_blk += uw
+        uu = np.vecdot(win, win, out=work)
+        uu += cfg.env.delta
+        mu_blk = np.divide(mat.mu_tilde[:, None], uu, out=uu)[:, :, ::-1]
+        taps.take(row_signal, axis=0, out=out["taps"], mode="clip")
+        d_blk.take(row_signal, axis=0, out=out["d"][:, :, :L], mode="clip")
+        mu_blk.take(row_signal, axis=0, out=out["mu"][:, :, :L], mode="clip")
+        for i, b in enumerate(rand_rows):
+            out["bits"][i, :L] = draw_sampled_set(pols[b], V, policy_rngs[b], L)
+        if links is not None:
+            active = np.stack([draw_active_links(p.p, (L, src_ns.size), rng)
+                               for p, rng in zip(pols, policy_rngs)])
+            out["fresh"][:L, :, slot_ns] = active.transpose(1, 0, 2)
+            out["comms"][:, :L] = _link_comms(active, src_ns, V, cfg.comm_unit == "link")
+        yield out
+
+
+def _slots(layout: dict, n: int) -> list[dict[str, np.ndarray]]:
+    """``n`` block slots, each a dict of zeroed arrays of ``layout``'s (shape, dtype).
+
+    They lie one after another in one anonymous shared ``mmap``, so a forked
+    child writes into the same memory as its parent.
+    """
+    counts = {name: int(np.prod(shape)) for name, (shape, _) in layout.items()}
+    # each array starts on a 64-byte boundary
+    sizes = {name: -(-counts[name] * np.dtype(dt).itemsize // 64) * 64
+             for name, (_, dt) in layout.items()}
+    buf = mmap.mmap(-1, n * sum(sizes.values()))
+    slots, offset = [], 0
+    for _ in range(n):
+        slots.append({})
+        for name, (shape, dt) in layout.items():
+            slots[-1][name] = np.frombuffer(buf, dt, counts[name], offset).reshape(shape)
+            offset += sizes[name]
+    return slots
+
+
+READY = b"r"  # a producer's token: the next block is in its slot
+FREE = b"f"  # a consumer's token: it is done with a block's slot
+
+
+def _prefetched(prepare, layout: dict, count: int):
+    """The ``count`` blocks of ``prepare(slots)``, prepared ahead in a forked producer.
+
+    The producer writes block k into slot k mod 2 of two :func:`_slots` made
+    before the fork and sends a READY token for it; this generator yields
+    that slot and, when asked for the next block, sends a FREE token for
+    it, which lets the producer write block k + 2 there.  The tokens are
+    one byte each, over two pipes: nothing is pickled but an exception the
+    producer raises, which is re-raised here at its block.  The producer is
+    killed and reaped when this generator is closed, however it ends.
+    """
+    slots = _slots(layout, 2)
+    ready, ready_w = os.pipe()
+    free_r, free = os.pipe()
+    pid = 0
+    try:
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _produce(prepare(slots), ready_w, free_r, count, (ready, free))
+        finally:
+            os.close(ready_w)
+            os.close(free_r)
+        for k in range(count):
+            token = os.read(ready, 1)
+            if token != READY:
+                while chunk := os.read(ready, 1 << 16):
+                    token += chunk
+                try:
+                    error = pickle.loads(token)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(
+                        f"block {k}'s producer died without it") from None
+                raise error
+            yield slots[k % 2]
+            if k + 2 < count:
+                # a producer that has stopped says why at the next read
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(free, FREE)
+    finally:
+        if pid:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        os.close(ready)
+        os.close(free)
+
+
+def _produce(blocks, ready: int, free: int, count: int, unused) -> None:
+    """A forked producer: run ``blocks``, sending READY to ``ready`` as each is
+    written, and wait for FREE on ``free`` before writing over a slot the
+    consumer may still read; never returns.
+
+    It pickles an exception that ``blocks`` raises to ``ready`` instead, and
+    exits nonzero at its next token read or write once the consumer is gone.
+    """
+    code = 1
+    try:
+        for fd in unused:  # only the consumer holds them, so a token read or write fails once it dies
+            os.close(fd)
+        try:
+            for k, _ in enumerate(blocks):
+                os.write(ready, READY)
+                # block k + 1 goes into the slot of block k - 1
+                if 0 < k < count - 1 and os.read(free, 1) != FREE:
+                    return
+        except Exception as exc:
+            os.write(ready, pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # --- Monte Carlo aggregation -------------------------------------------------
@@ -700,10 +838,12 @@ class VariantGroup:
     a batch, with any beta, mu_s and V_s, provided its adaptive rows share
     an alpha_plus, while probabilistic_transmission rows, whatever their p,
     run in batches of their own.  The batches run on :func:`usable_cpus`
-    processes, this one and forked children; this process adds each batch's
-    rows in plan order, so each variant sums its own rows in realization
-    order and its means are bit-identical to those of a group of one, on
-    any number of CPUs.  The rows run lazily, on the first call of
+    processes, this one and forked children; a plan that leaves an idle
+    CPU for each batch (one batch on 2 CPUs) also prepares each batch's
+    signal blocks in a forked producer.  This process adds each batch's rows
+    in plan order, so each variant sums its own rows in realization order
+    and its means are bit-identical to those of a group of one, on any
+    number of CPUs.  The rows run lazily, on the first call of
     :meth:`means`, on the network passed to it.
     """
 
@@ -729,7 +869,8 @@ class VariantGroup:
         def run(rows):
             try:
                 return run_batch(cfg, [r for _, r in rows], mat,
-                                 policies=[self.configs[i].policy for i, _ in rows])
+                                 policies=[self.configs[i].policy for i, _ in rows],
+                                 prefetch=2 * len(plan) <= cpus)
             except NonFiniteStateError as exc:  # name the variant, which may not be cfg
                 raise NonFiniteStateError(f"{self.configs[rows[exc.row][0]].name()}, {exc}",
                                           exc.row) from exc

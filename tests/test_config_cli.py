@@ -462,6 +462,45 @@ class TestCli:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
+    @pytest.mark.parametrize("policy", [
+        "policy.kind = as_censoring\npolicy.beta = 0.68\npolicy.mu_s = 0.1571",
+        "policy.kind = probabilistic_transmission\npolicy.p = 0.5",
+        "policy.kind = random_sampling\npolicy.V_s = 12",
+    ])
+    def test_one_row_outputs_identical_on_one_and_two_cpus(self, policy, tmp_path, monkeypatch):
+        # one realization: at 2 CPUs a forked producer prepares the signal blocks
+        import asdnlms.harness as harness
+
+        text = "\n".join(line for line in GOOD_CONFIG.splitlines()
+                         if not line.startswith("policy.")) + "\n" + policy + "\n"
+        for key, value in (("topology.V", "30"), ("topology.radius", "0.35"),
+                           ("run.iterations", "600"), ("env.flip_iteration", "300"),
+                           ("run.realizations", "1")):
+            text = with_key(text, key, value)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        forks, fork = [], os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+            assert len(forks) == cpus - 1
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 2  # the CSV and the manifest
+        with pytest.raises(ChildProcessError):  # the producer was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
     def test_non_finite_state_in_a_child_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         # 8 realizations on 2 CPUs: realizations 4-7 run in the child
         import asdnlms.harness as harness

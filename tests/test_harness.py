@@ -1,5 +1,7 @@
 import os
+import signal
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -785,6 +787,156 @@ class TestForkedWorkers:
         os.close(go)
         os.close(go_read)
         assert os.waitstatus_to_exitcode(status) == 1  # BrokenPipeError, not a hang
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
+class TestPrefetchedBlocks:
+    """One-row campaigns at 2 CPUs, on any host: a forked producer prepares the blocks."""
+
+    T = 2 * BLOCK + 44  # three blocks, the last one short
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # the pids this process forks, at 2 CPUs
+        import asdnlms.harness as harness
+
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        pids, fork = [], os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return pids
+
+    def config(self, kind):
+        return make_config(kind=kind, V=10, M=4, iterations=self.T, seed=6, flip=BLOCK + 7)
+
+    @pytest.mark.parametrize("kind", ["as_censoring", "probabilistic_transmission",
+                                      "random_sampling"])
+    def test_one_row_matches_one_cpu(self, kind, forks, monkeypatch):
+        import asdnlms.harness as harness
+
+        cfg = self.config(kind)
+        mat = materialize(cfg)
+        got = monte_carlo(cfg, mat)
+        assert len(forks) == 1  # the producer
+        _no_child_left()
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+        want = monte_carlo(cfg, mat)
+        assert len(forks) == 1
+        for name in ("msd", "msd_db", "msd_db_smoothed") + COUNTERS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_rows_sharing_a_realization_match_in_process(self, forks):
+        cfg = self.config("as_sampling")
+        mat = materialize(cfg)
+        pols = [cfg.policy, PolicyConfig(kind="random_sampling", V_s=3),
+                PolicyConfig(kind="full"), PolicyConfig(kind="as_censoring", beta=0.68,
+                                                        mu_s=0.1571)]
+        got = run_batch(cfg, [0, 1, 0, 0], mat, policies=pols, prefetch=True)
+        assert len(forks) == 1
+        _no_child_left()
+        want = run_batch(cfg, [0, 1, 0, 0], mat, policies=pols)
+        assert len(forks) == 1
+        for name in SERIES:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @staticmethod
+    def in_producer(monkeypatch, spoil):
+        # spoil(inputs) at the producer's second draw: block 1
+        import asdnlms.harness as harness
+
+        consumer, draw, calls = os.getpid(), harness.draw_signal_blocks, []
+
+        def spoiled(env, streams, iterations):
+            inputs, noises = draw(env, streams, iterations)
+            calls.append(iterations)
+            if os.getpid() != consumer and len(calls) == 2:
+                spoil(inputs)
+            return inputs, noises
+
+        monkeypatch.setattr(harness, "draw_signal_blocks", spoiled)
+
+    def test_nan_in_the_producer_names_realization_and_iteration(self, forks, monkeypatch):
+        import asdnlms.harness as harness
+
+        self.in_producer(monkeypatch, lambda inputs: inputs.__setitem__((0, 2, 30), np.nan))
+        cfg = self.config("as_censoring")
+        with pytest.raises(harness.NonFiniteStateError, match=(
+                f"{cfg.name()}, realization 0: network MSD is not finite at iteration "
+                f"{BLOCK + 30}")):
+            monte_carlo(cfg)
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_producer_exception_is_raised_at_its_block(self, forks, monkeypatch):
+        import asdnlms.analysis as analysis
+
+        def fail(inputs):
+            raise ValueError("no block 1")
+
+        self.in_producer(monkeypatch, fail)
+        cost, blocks_done = analysis.network_op_cost, []
+
+        def counted(*args):
+            blocks_done.append(os.getpid())
+            return cost(*args)
+
+        monkeypatch.setattr(analysis, "network_op_cost", counted)
+        with pytest.raises(ValueError, match="no block 1"):
+            monte_carlo(self.config("probabilistic_transmission"))
+        assert blocks_done == [os.getpid()]  # block 0 ran here, block 1 raised
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_interrupt_in_the_consumer_kills_the_producer(self, forks, monkeypatch):
+        import asdnlms.analysis as analysis
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(analysis, "network_op_cost", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo(self.config("random_sampling"))
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_producer_exits_once_the_consumer_is_gone(self):
+        import asdnlms.harness as harness
+
+        ready_r, ready = os.pipe()
+        free, free_w = os.pipe()
+        go_read, go = os.pipe()
+
+        def blocks():
+            os.read(go_read, 1)  # until the consumer's ends are closed
+            yield from range(3)
+
+        pid = os.fork()
+        if pid == 0:
+            try:
+                harness._produce(blocks(), ready, free, 3, (ready_r, free_w))
+            finally:
+                os._exit(3)
+        for fd in (ready, free, ready_r, free_w):  # as the consumer's death would
+            os.close(fd)
+        os.write(go, b"x")
+        for _ in range(3000):  # 30 s
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(go)
+        os.close(go_read)
+        assert done, "the producer hangs"
+        assert os.waitstatus_to_exitcode(status) == 1  # BrokenPipeError
 
 
 def _arrays(mat):

@@ -10,10 +10,10 @@ MSD, sampled nodes and communications; the operation counts follow from the
 sampled nodes through the :mod:`analysis` cost model.  Realizations are
 independent: a campaign runs the (variant, realization) rows of variants
 that share a network in batches of at most CHUNK rows on one engine path
-(per node or per link), one loop over (B, V, M) arrays each, with its
-batches spread over the CPUs this process may run on, and a batch's signal
-blocks prepared ahead on a CPU left idle; aggregation is an element-wise
-mean per variant in realization order.
+(per node or per link), one loop over (B, V, M) arrays each, run by the
+forked workers and block producers of :mod:`parallel` on the CPUs this
+process may use; aggregation is an element-wise mean per variant in
+realization order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -23,11 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import mmap
-import os
-import pickle
-import signal
-import threading
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
@@ -42,6 +37,7 @@ from asdnlms.network import (
     load_edge_list,
     uniform_weights,  # noqa: F401  (unused; perfbench/run.py traces it here)
 )
+from asdnlms.parallel import _prefetched, _run_batches, _slots, usable_cpus
 from asdnlms.sampling import (
     AS_KINDS,
     DEFAULT_ALPHA_PLUS,
@@ -233,11 +229,10 @@ def run_batch(
     a random sampler (its V_s subsets come from one draw per realization)
     and the fresh-link mask and communications of probabilistic
     transmission.  With ``prefetch``, a batch of more than one block runs
-    that generator in a forked producer (:func:`_prefetched`), which
-    prepares the next block in shared memory while the loop runs this one;
-    a campaign passes it when it leaves a CPU idle.  The series are the
-    same either way.  Every block checks, here, that the network MSD stayed
-    finite and raises :class:`NonFiniteStateError` otherwise.
+    that generator in a forked producer (:func:`parallel._prefetched`),
+    one block ahead of the loop; the series are the same either way.
+    Every block checks, here, that the network MSD stayed finite and
+    raises :class:`NonFiniteStateError` otherwise.
 
     Workspace: every array the round loop writes is allocated once per
     call, before the first block, and each iteration writes into it in
@@ -597,103 +592,6 @@ def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols, slots, links=N
         yield out
 
 
-def _slots(layout: dict, n: int) -> list[dict[str, np.ndarray]]:
-    """``n`` block slots, each a dict of zeroed arrays of ``layout``'s (shape, dtype).
-
-    They lie one after another in one anonymous shared ``mmap``, so a forked
-    child writes into the same memory as its parent.
-    """
-    counts = {name: int(np.prod(shape)) for name, (shape, _) in layout.items()}
-    # each array starts on a 64-byte boundary
-    sizes = {name: -(-counts[name] * np.dtype(dt).itemsize // 64) * 64
-             for name, (_, dt) in layout.items()}
-    buf = mmap.mmap(-1, n * sum(sizes.values()))
-    slots, offset = [], 0
-    for _ in range(n):
-        slots.append({})
-        for name, (shape, dt) in layout.items():
-            slots[-1][name] = np.frombuffer(buf, dt, counts[name], offset).reshape(shape)
-            offset += sizes[name]
-    return slots
-
-
-READY = b"r"  # a producer's token: the next block is in its slot
-FREE = b"f"  # a consumer's token: it is done with a block's slot
-
-
-def _prefetched(prepare, layout: dict, count: int):
-    """The ``count`` blocks of ``prepare(slots)``, prepared ahead in a forked producer.
-
-    The producer writes block k into slot k mod 2 of two :func:`_slots` made
-    before the fork and sends a READY token for it; this generator yields
-    that slot and, when asked for the next block, sends a FREE token for
-    it, which lets the producer write block k + 2 there.  The tokens are
-    one byte each, over two pipes: nothing is pickled but an exception the
-    producer raises, which is re-raised here at its block.  The producer is
-    killed and reaped when this generator is closed, however it ends.
-    """
-    slots = _slots(layout, 2)
-    ready, ready_w = os.pipe()
-    free_r, free = os.pipe()
-    pid = 0
-    try:
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _produce(prepare(slots), ready_w, free_r, count, (ready, free))
-        finally:
-            os.close(ready_w)
-            os.close(free_r)
-        for k in range(count):
-            token = os.read(ready, 1)
-            if token != READY:
-                while chunk := os.read(ready, 1 << 16):
-                    token += chunk
-                try:
-                    error = pickle.loads(token)
-                except (EOFError, pickle.UnpicklingError):
-                    raise ChildProcessError(
-                        f"block {k}'s producer died without it") from None
-                raise error
-            yield slots[k % 2]
-            if k + 2 < count:
-                # a producer that has stopped says why at the next read
-                with contextlib.suppress(BrokenPipeError):
-                    os.write(free, FREE)
-    finally:
-        if pid:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        os.close(ready)
-        os.close(free)
-
-
-def _produce(blocks, ready: int, free: int, count: int, unused) -> None:
-    """A forked producer: run ``blocks``, sending READY to ``ready`` as each is
-    written, and wait for FREE on ``free`` before writing over a slot the
-    consumer may still read; never returns.
-
-    It pickles an exception that ``blocks`` raises to ``ready`` instead, and
-    exits nonzero at its next token read or write once the consumer is gone.
-    """
-    code = 1
-    try:
-        for fd in unused:  # only the consumer holds them, so a token read or write fails once it dies
-            os.close(fd)
-        try:
-            for k, _ in enumerate(blocks):
-                os.write(ready, READY)
-                # block k + 1 goes into the slot of block k - 1
-                if 0 < k < count - 1 and os.read(free, 1) != FREE:
-                    return
-        except Exception as exc:
-            os.write(ready, pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-        code = 0
-    finally:
-        os._exit(code)
-
-
 # --- Monte Carlo aggregation -------------------------------------------------
 
 
@@ -730,16 +628,6 @@ def _group_key(cfg: RunConfig) -> tuple:
             DEFAULT_ALPHA_PLUS if pol.alpha_plus is None else pol.alpha_plus)
 
 
-def usable_cpus() -> int:
-    """The CPUs a campaign's batches run on: those of this process's affinity
-    mask.  1 where ``os.fork`` or ``os.sched_getaffinity`` does not exist, or
-    while other threads run, which a forked child would lack."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
-            or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def plan_batches(configs, cpus: int) -> list[list[tuple[int, int]]]:
     """A campaign's batches, each a list of (variant index, realization) rows.
 
@@ -764,70 +652,6 @@ def plan_batches(configs, cpus: int) -> list[list[tuple[int, int]]]:
     return plan
 
 
-def _run_batches(plan, run, take, workers: int) -> None:
-    """``take(rows, run(rows))`` for the rows of each batch of ``plan``, in plan order.
-
-    Batch k runs in worker k mod ``workers``.  Worker 0 is this process; the
-    others are forked children, which pickle each result (or the exception
-    ``run`` raised, and stop) to a pipe as soon as it is done.  This process
-    reads the results in plan order, so each process holds one batch at a
-    time, and re-raises a child's exception at its batch, where a serial run
-    would raise it.  Every child is killed and reaped before this returns or
-    raises; a child whose parent has died exits at its next write.
-    """
-    pids, readers = [], []
-    try:
-        for w in range(1, workers):
-            r, out = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(plan[w::workers], run, out, [f.fileno() for f in readers] + [r])
-            pids.append(pid)
-            os.close(out)
-            readers.append(os.fdopen(r, "rb"))
-        for k, batch in enumerate(plan):
-            if k % workers == 0:
-                take(batch, run(batch))
-                continue
-            try:
-                result = pickle.load(readers[k % workers - 1])
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"batch {k}'s worker died without its result") from None
-            if isinstance(result, Exception):
-                raise result
-            take(batch, result)
-    finally:
-        for pid in pids:
-            # a child that has exited stays a zombie until reaped; none is left
-            # to reap where SIGCHLD is ignored
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for f in readers:
-            f.close()
-
-
-def _work(batches, run, out: int, read_ends) -> None:
-    """A forked worker: run ``batches`` and pickle each result to ``out``; never returns."""
-    code = 1
-    try:
-        for fd in read_ends:  # only the parent holds them, so a write fails once it dies
-            os.close(fd)
-        with os.fdopen(out, "wb") as pipe:
-            for batch in batches:
-                try:
-                    result = run(batch)
-                except Exception as exc:
-                    result = exc
-                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-                pipe.flush()
-                if isinstance(result, Exception):
-                    break
-        code = 0
-    finally:
-        os._exit(code)
-
-
 class VariantGroup:
     """The variants of one campaign, run as the rows of shared batches.
 
@@ -838,13 +662,12 @@ class VariantGroup:
     a batch, with any beta, mu_s and V_s, provided its adaptive rows share
     an alpha_plus, while probabilistic_transmission rows, whatever their p,
     run in batches of their own.  The batches run on :func:`usable_cpus`
-    processes, this one and forked children; a plan that leaves an idle
-    CPU for each batch (one batch on 2 CPUs) also prepares each batch's
-    signal blocks in a forked producer.  This process adds each batch's rows
-    in plan order, so each variant sums its own rows in realization order
-    and its means are bit-identical to those of a group of one, on any
-    number of CPUs.  The rows run lazily, on the first call of
-    :meth:`means`, on the network passed to it.
+    processes, this one and :func:`parallel._run_batches`'s forked workers,
+    and a plan that leaves an idle CPU per batch (one batch on 2 CPUs) also
+    prefetches their blocks.  This process adds each batch's rows in plan
+    order, so each variant sums its own rows in realization order and its
+    means are bit-identical to those of a group of one, on any number of
+    CPUs.  The rows run lazily, on the first call of :meth:`means`.
     """
 
     def __init__(self, configs):
@@ -902,10 +725,8 @@ def monte_carlo(cfg: RunConfig, mat: Materialized | None = None,
 
     ``group``, which holds ``cfg``, runs ``cfg``'s realizations together
     with its other variants; without it ``cfg`` is a group of one.  The
-    group's batches run here, on :func:`usable_cpus` processes, the first
-    time one of its variants is asked for; every child process is reaped
-    before this returns or raises, and the means do not depend on the
-    number of CPUs.
+    group's batches run the first time one of its variants is asked for;
+    every child process is reaped before this returns or raises.
     """
     if mat is None:
         mat = materialize(cfg)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,32 @@ def make_config(
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def no_child_left():
+    """This process has no child, running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def reaps_every_child():
+    """Every test kills and reaps each child process it forks."""
+    yield
+    if hasattr(os, "fork"):
+        no_child_left()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks, in order."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids

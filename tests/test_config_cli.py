@@ -21,6 +21,7 @@ from asdnlms.config import (
 from asdnlms.harness import materialize, monte_carlo
 from asdnlms.presets import BETA_RATIOS, PRESET_NAMES, PRESETS, expand_preset
 from asdnlms.sampling import PolicyConfig
+from conftest import no_child_left
 
 GOOD_CONFIG = """
 # small smoke-test run
@@ -458,8 +459,7 @@ class TestCli:
         assert outputs[0] == outputs[1]
         assert any(name.endswith(".csv") for name in outputs[0])
         assert ("bounds.csv" in outputs[0]) == ("fig_beta_sweep" in argv)
-        with pytest.raises(ChildProcessError):  # every child was reaped
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
     @pytest.mark.parametrize("policy", [
@@ -467,7 +467,8 @@ class TestCli:
         "policy.kind = probabilistic_transmission\npolicy.p = 0.5",
         "policy.kind = random_sampling\npolicy.V_s = 12",
     ])
-    def test_one_row_outputs_identical_on_one_and_two_cpus(self, policy, tmp_path, monkeypatch):
+    def test_one_row_outputs_identical_on_one_and_two_cpus(self, policy, tmp_path, monkeypatch,
+                                                          forks):
         # one realization: at 2 CPUs a forked producer prepares the signal blocks
         import asdnlms.harness as harness
 
@@ -479,15 +480,6 @@ class TestCli:
             text = with_key(text, key, value)
         path = tmp_path / "run.cfg"
         path.write_text(text)
-        forks, fork = [], os.fork
-
-        def recorded():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recorded)
         outputs = []
         for cpus in (1, 2):
             monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
@@ -497,8 +489,7 @@ class TestCli:
             assert len(forks) == cpus - 1
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) == 2  # the CSV and the manifest
-        with pytest.raises(ChildProcessError):  # the producer was reaped
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
     def test_non_finite_state_in_a_child_is_runtime_error(self, tmp_path, capsys, monkeypatch):
@@ -522,6 +513,36 @@ class TestCli:
         assert ("as_sampling, realization 4: network MSD is not finite at iteration 30"
                 in capsys.readouterr().err)
         assert not (out / "as_sampling.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
+    @pytest.mark.parametrize("realizations, name, call, message", [
+        # 8 realizations on 2 CPUs: batch 1 runs in a worker
+        ("8", "run_batch", 1, "batch 1's worker died without its result"),
+        # one realization of 3 blocks on 2 CPUs: a producer draws them
+        ("1", "draw_signal_blocks", 2, "block 1's producer died without it"),
+    ], ids=["worker", "producer"])
+    def test_child_dying_without_sending_is_runtime_error(self, realizations, name, call, message,
+                                                          tmp_path, capsys, monkeypatch):
+        import asdnlms.harness as harness
+
+        parent, real, calls = os.getpid(), getattr(harness, name), []
+
+        def dies_in_the_child(*args, **kwargs):
+            calls.append(name)
+            if os.getpid() != parent and len(calls) == call:
+                os._exit(0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, name, dies_in_the_child)
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(with_key(GOOD_CONFIG, "run.realizations", realizations),
+                                 "run.iterations", "300"))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "as_sampling.csv").exists()
+        no_child_left()
 
     def test_edge_list_read_once_per_materialize(self, tmp_path, monkeypatch):
         import asdnlms.harness as harness

@@ -1,7 +1,6 @@
+import errno
 import os
-import signal
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +30,7 @@ from asdnlms.harness import (
 )
 from asdnlms.presets import expand_preset
 from asdnlms.sampling import PolicyConfig, phi_prime
-from conftest import make_config
+from conftest import make_config, no_child_left
 from reference import (
     adjacency,
     as_dnlms_op_cost,
@@ -690,9 +689,19 @@ class TestBatchPlan:
         assert [len(batch) for batch in plan] == [CHUNK] * 10
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _failed_fork_leaks_no_descriptor(monkeypatch, campaign):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        campaign()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+counts_fds = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                reason="counts the entries of /proc/self/fd")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
@@ -716,7 +725,7 @@ class TestForkedWorkers:
 
         cfgs, groups, mat = campaign
         got = [monte_carlo(cfg, mat, group) for cfg, group in zip(cfgs, groups)]
-        _no_child_left()
+        no_child_left()
         monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         for cfg, result in zip(cfgs, got):
             want = monte_carlo(cfg, mat)
@@ -740,7 +749,7 @@ class TestForkedWorkers:
         with pytest.raises(harness.NonFiniteStateError, match=(
                 f"{variant}, realization 0: network MSD is not finite at iteration 30")):
             monte_carlo(cfgs[0], mat, groups[0])
-        _no_child_left()
+        no_child_left()
 
     def test_interrupt_here_kills_the_children(self, campaign, monkeypatch):
         import asdnlms.harness as harness
@@ -756,7 +765,7 @@ class TestForkedWorkers:
         monkeypatch.setattr(harness, "run_batch", interrupted_here)
         with pytest.raises(KeyboardInterrupt):
             monte_carlo(cfgs[0], mat, groups[0])
-        _no_child_left()
+        no_child_left()
 
     def test_single_row_forks_nothing(self, monkeypatch):
         import asdnlms.harness as harness
@@ -769,24 +778,10 @@ class TestForkedWorkers:
         cfg = make_config(iterations=30)
         assert np.isfinite(monte_carlo(cfg).msd).all()
 
-    def test_worker_exits_at_its_next_write_once_the_parent_is_gone(self):
-        import asdnlms.harness as harness
-
-        results, out = os.pipe()
-        go_read, go = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                harness._work([[(0, 0)]], lambda rows: os.read(go_read, 1), out, [results])
-            finally:
-                os._exit(3)
-        os.close(out)
-        os.close(results)  # as the parent's death would
-        os.write(go, b"x")
-        _, status = os.waitpid(pid, 0)
-        os.close(go)
-        os.close(go_read)
-        assert os.waitstatus_to_exitcode(status) == 1  # BrokenPipeError, not a hang
+    @counts_fds
+    def test_failed_fork_leaks_no_descriptor(self, campaign, monkeypatch):
+        cfgs, groups, mat = campaign
+        _failed_fork_leaks_no_descriptor(monkeypatch, lambda: monte_carlo(cfgs[0], mat, groups[0]))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
@@ -795,22 +790,11 @@ class TestPrefetchedBlocks:
 
     T = 2 * BLOCK + 44  # three blocks, the last one short
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        # the pids this process forks, at 2 CPUs
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
         import asdnlms.harness as harness
 
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
-        pids, fork = [], os.fork
-
-        def recorded():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recorded)
-        return pids
 
     def config(self, kind):
         return make_config(kind=kind, V=10, M=4, iterations=self.T, seed=6, flip=BLOCK + 7)
@@ -824,7 +808,7 @@ class TestPrefetchedBlocks:
         mat = materialize(cfg)
         got = monte_carlo(cfg, mat)
         assert len(forks) == 1  # the producer
-        _no_child_left()
+        no_child_left()
         monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         want = monte_carlo(cfg, mat)
         assert len(forks) == 1
@@ -839,7 +823,7 @@ class TestPrefetchedBlocks:
                                                         mu_s=0.1571)]
         got = run_batch(cfg, [0, 1, 0, 0], mat, policies=pols, prefetch=True)
         assert len(forks) == 1
-        _no_child_left()
+        no_child_left()
         want = run_batch(cfg, [0, 1, 0, 0], mat, policies=pols)
         assert len(forks) == 1
         for name in SERIES:
@@ -871,7 +855,7 @@ class TestPrefetchedBlocks:
                 f"{BLOCK + 30}")):
             monte_carlo(cfg)
         assert len(forks) == 1
-        _no_child_left()
+        no_child_left()
 
     def test_producer_exception_is_raised_at_its_block(self, forks, monkeypatch):
         import asdnlms.analysis as analysis
@@ -891,7 +875,7 @@ class TestPrefetchedBlocks:
             monte_carlo(self.config("probabilistic_transmission"))
         assert blocks_done == [os.getpid()]  # block 0 ran here, block 1 raised
         assert len(forks) == 1
-        _no_child_left()
+        no_child_left()
 
     def test_interrupt_in_the_consumer_kills_the_producer(self, forks, monkeypatch):
         import asdnlms.analysis as analysis
@@ -903,40 +887,11 @@ class TestPrefetchedBlocks:
         with pytest.raises(KeyboardInterrupt):
             monte_carlo(self.config("random_sampling"))
         assert len(forks) == 1
-        _no_child_left()
+        no_child_left()
 
-    def test_producer_exits_once_the_consumer_is_gone(self):
-        import asdnlms.harness as harness
-
-        ready_r, ready = os.pipe()
-        free, free_w = os.pipe()
-        go_read, go = os.pipe()
-
-        def blocks():
-            os.read(go_read, 1)  # until the consumer's ends are closed
-            yield from range(3)
-
-        pid = os.fork()
-        if pid == 0:
-            try:
-                harness._produce(blocks(), ready, free, 3, (ready_r, free_w))
-            finally:
-                os._exit(3)
-        for fd in (ready, free, ready_r, free_w):  # as the consumer's death would
-            os.close(fd)
-        os.write(go, b"x")
-        for _ in range(3000):  # 30 s
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.01)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(go)
-        os.close(go_read)
-        assert done, "the producer hangs"
-        assert os.waitstatus_to_exitcode(status) == 1  # BrokenPipeError
+    @counts_fds
+    def test_failed_fork_leaks_no_descriptor(self, monkeypatch):
+        _failed_fork_leaks_no_descriptor(monkeypatch, lambda: monte_carlo(self.config("full")))
 
 
 def _arrays(mat):

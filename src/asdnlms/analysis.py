@@ -110,13 +110,15 @@ def nlms_steady_msd(mu_tilde, sigma2_v, sigma2_u, M: int) -> float:
 # --- operation-cost model ---------------------------------------------------
 
 
-def network_op_cost(M: int, deg, sampled, s_deg, mechanism: bool):
+def network_op_cost(M: int, deg, sampled, s_deg, mechanism):
     """Per-iteration (multiplications, additions) summed over the nodes.
 
-    ``deg`` holds each |N_k| (self included); ``sampled`` is sum_k s_k and
-    ``s_deg`` is sum_k s_k |N_k|, as scalars or per-iteration arrays.  Per
-    node k, the adapt arithmetic is paid only while k samples and the
-    combine term M |N_k| always:
+    ``deg`` holds each |N_k| (self included) on its last axis, (V,) or per
+    row (..., V); ``sampled`` is sum_k s_k, ``s_deg`` is sum_k s_k |N_k| and
+    ``mechanism`` is true where AS-dNLMS samples, as scalars or arrays that
+    broadcast against ``deg``'s (..., 1) sums.  Per node k, the adapt
+    arithmetic is paid only while k samples and the combine term M |N_k|
+    always:
 
         gated dNLMS   s_k (3M + 4) + M |N_k|    and  s_k (4M + 2) + M |N_k| - M + 1
         AS-dNLMS      the same, plus the sampling mechanism's
@@ -126,9 +128,7 @@ def network_op_cost(M: int, deg, sampled, s_deg, mechanism: bool):
     M (3 + |N_k|) + 3.  The mechanism's neighbor term sums to s_deg over a
     symmetric graph.
     """
-    V, D = deg.size, int(deg.sum())
+    V, D = deg.shape[-1], deg.sum(axis=-1, keepdims=True)
     mults = (3 * M + 4) * sampled + M * D
-    adds = (4 * M + 2) * sampled + M * D - M * V
-    if mechanism:
-        return mults + s_deg + 2 * V, adds + D + 2 * V
-    return mults, adds + V
+    adds = (4 * M + 2) * sampled + M * D - M * V + V
+    return mults + np.where(mechanism, s_deg + 2 * V, 0), adds + np.where(mechanism, D + V, 0)

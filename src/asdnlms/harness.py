@@ -1,19 +1,21 @@
 """Seeded realizations, Monte Carlo campaigns, metrics and aggregation.
 
-A realization executes the synchronous round loop
+A realization runs the synchronous round for the configured number of
+iterations, as the list of steps :func:`run_batch` builds for its batch:
 
-    decide sampling -> adapt -> transmit/cache -> ACW update (sampled nodes)
-    -> combine -> refresh squared-error caches -> update alpha
+    decide -> adapt -> [censor] -> transmit -> ACW -> combine -> update_alpha
 
-for the configured number of iterations, recording per-iteration network
-MSD, sampled nodes and communications; the operation counts follow from the
-sampled nodes through the :mod:`analysis` cost model.  Realizations are
-independent: a campaign runs the (variant, realization) rows of variants
-that share a network in batches of at most CHUNK rows on one engine path
-(per node or per link), one loop over (B, V, M) arrays each, run by the
-forked workers and block producers of :mod:`parallel` on the CPUs this
-process may use; aggregation is an element-wise mean per variant in
-realization order.
+decide and update_alpha when some row is adaptive, censor when some row
+censors; transmit, ACW (at the sampled receivers per node, at every slot
+per link) and combine take their per-node or per-link form.  The loop
+records each iteration's network MSD; the counters follow per block from
+the sampled-node bitmap, the operation counts through the :mod:`analysis`
+cost model.  Realizations are independent: a campaign runs the
+(variant, realization) rows of variants that share a network in batches of
+at most CHUNK rows on one engine path, one loop over (B, V, M) arrays each,
+run by the forked workers and block producers of :mod:`parallel` on the
+CPUs this process may use; aggregation is an element-wise mean per variant
+in realization order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -195,65 +197,32 @@ def run_batch(
     Row b runs realization ``realizations[b]`` under ``policies[b]``, or
     under ``cfg.policy`` when ``policies`` is None.  The rows are all per
     link (``probabilistic_transmission``) or all per node (the other kinds,
-    in any mix), and their adaptive rows share one alpha_plus; beta and
-    mu_s enter the alpha update as (B, 1) columns, and V_s and p are read
-    per row where a block's masks are drawn.  Rows of one realization see
-    the same signals: the block is drawn and windowed once per distinct
-    realization and copied to its rows.
+    in any mix), and their adaptive rows share one alpha_plus.  Rows of one
+    realization see the same signals.
 
-    A policy is row data fixed before the loop: its edge set, its sampler
-    (alpha >= 0 for the adaptive kinds, a random V_s draw, or every node)
-    and its transmit rule.  Per node, a node transmits iff it samples
-    (``as_censoring``) or always, and every node combines the last psi each
-    neighbor transmitted, its own included.  A (B, E) mask holds the links
-    each row has (a ``non_cooperative`` row has only its self links), and
-    the batch runs on the links some row has.  A row gives the links it
-    lacks weight 0 through the numerator of their inverse variance, so a
-    ``non_cooperative`` row's c_kk = inv / inv = 1 exactly, as on its own
-    graph.  Adaptive rows write alpha >= 0 into their rows of the
-    sampled-node bitmap; a non-adaptive row takes mu_s = beta = 0 in the
-    alpha update, so its alpha never moves.  Per link
-    (``probabilistic_transmission``), each directed link carries psi with
-    probability p into the receiver's link cache.  A link communication is
-    one active directed link; a broadcast is one node that reaches at least
-    one neighbor.  The counters are computed per kind, from the degrees and
-    comm units of its rows' links and its sampling mechanism.  Which of
-    these per-row steps the loop takes is set by plain flags before it, so
-    a batch makes no call for the kinds it lacks.
+    A policy is row data fixed before the loop.  A (B, E) mask holds the
+    links each row has (a ``non_cooperative`` row has only its self links),
+    and the batch runs on the links some row has; a row gives a link it
+    lacks weight 0 through the numerator of its inverse variance, so a
+    ``non_cooperative`` row's c_kk = inv / inv = 1 exactly.  A row's
+    sampler (alpha >= 0, a random V_s draw, or every node) fills its rows
+    of the sampled-node bitmap, and a non-adaptive row takes
+    mu_s = beta = 0 in the alpha update, so its alpha never moves.  The
+    counters follow once per block from the bitmap and the (B, V) node
+    degrees and comm units of each row's links; per link, the comms are
+    those the block drew.  A link communication is one active directed
+    link; a broadcast is one node that reaches at least one neighbor.
 
-    Signals are drawn in blocks of BLOCK iterations by one generator,
-    :func:`_prepared_blocks`, which holds every random generator of the
-    batch: each block's regressors are windows of one tap buffer, and its
-    references d and step sizes mu are computed before its iterations run.
-    The masks of a block are set before it too: the sampled-node bitmap of
-    a random sampler (its V_s subsets come from one draw per realization)
-    and the fresh-link mask and communications of probabilistic
-    transmission.  With ``prefetch``, a batch of more than one block runs
-    that generator in a forked producer (:func:`parallel._prefetched`),
-    one block ahead of the loop; the series are the same either way.
-    Every block checks, here, that the network MSD stayed finite and
-    raises :class:`NonFiniteStateError` otherwise.
-
-    Workspace: every array the round loop writes is allocated once per
-    call, before the first block, and each iteration writes into it in
-    place (``out=``).  The link cache of probabilistic transmission is
-    padded, (B, V, D, M) with D = max |N_k|: receiver k's links fill its
-    first |N_k| slots in edge order, and a pad slot is never fresh, holds
-    zeros and gets weight 0 through the 0/1 numerator of its inverse
-    variance.  Its ACW terms take the per-node Gram form, with a batched
-    ``cache . w_k`` product and a per-slot ``||x_j||^2`` refreshed with the
-    cache, and its combine is one batched (1 x D) @ (D x M) product per
-    receiver divided by the weights' sum.  Both products cost
-    O(B V D M), so a graph with one hub pays for padding at every node.
-    An iteration allocates only small arrays: per node, the (B * V) column
-    sums of the ACW weights, which ``np.bincount`` returns; for the
-    adaptive kinds, the (B, V) slope :func:`sampling.phi_prime` returns
-    and the temporary of its ``1 + cosh(alpha)``; and, per link, the
-    indices of the iteration's fresh slots and their transmitters, and the
-    psi rows and squared norms they carry.  The ACW variances of all links
-    take one product per realization, the recursion's coefficients
-    ``[-2 nu, nu, nu, 1 - nu]`` times the terms.  The workspace is local to
-    the call.
+    The round is the batch's list of steps, each a closure over the
+    workspace, built before the first block; a batch makes no call for a
+    kind it lacks.  The blocks of BLOCK iterations, with their signals and
+    masks, come from :func:`_prepared_blocks`; with ``prefetch``, a batch
+    of more than one block runs it in a forked producer
+    (:func:`parallel._prefetched`), one block ahead of the loop, and the
+    series are the same either way.  Every block checks that the network
+    MSD stayed finite and raises :class:`NonFiniteStateError` otherwise.
+    Every array the loop writes is allocated before the first block and
+    written in place (``out=``); an iteration allocates only small arrays.
 
     Deterministic: a realization's series is the same, bit for bit, in
     whichever batch it runs.  ``mat`` may be passed to share the
@@ -276,14 +245,10 @@ def run_batch(
     for p in pols:
         p.validate_for(V)
 
-    # (B, 1) columns of the rows of each kind, and the batch's flags, fixed
-    # before the loop
+    per_link = kinds[0] == "probabilistic_transmission"
+    # (B, 1) columns of the rows of each kind, fixed before the loop
     ad_col, rand_col, censor_col, lonely_col = (np.isin(kinds, ks)[:, None] for ks in (
         AS_KINDS, "random_sampling", "as_censoring", "non_cooperative"))
-    adaptive, random_subset = bool(ad_col.any()), bool(rand_col.any())
-    every = not (adaptive or random_subset)  # every node samples: no sampled-node mask
-    per_link = kinds[0] == "probabilistic_transmission"
-    always_tx = not censor_col.any()
     # (B, E) the links each row has, a non_cooperative row only its self links;
     # the batch runs on the links that some row has
     src_e, dst_e = top.edge_arrays()
@@ -301,8 +266,10 @@ def run_batch(
     jk = src_e * V + dst_e
     jk_rows = rows * V * V + jk
     dst_flat = dst_rows.ravel()
+    # (B, V) each row's node degrees, from the links it has, which its op counts read
+    deg_r = np.bincount(dst_flat, weights=has.ravel(), minlength=B * V).astype(np.int64)
+    deg_r = deg_r.reshape(B, V)
 
-    by_link = cfg.comm_unit == "link"
     D = int(deg.max())
     N = V * D if per_link else E  # the ACW terms: per link slot, or per link
 
@@ -331,12 +298,35 @@ def run_batch(
     coef = np.array([-2.0 * nu, nu, nu, 1.0 - nu])
     terms_b = terms.transpose(1, 0, 2)
     inv, tmp = np.empty((2, B, N))
-    if not every:
-        s_dst = np.empty((B, E), dtype=bool)  # the sampled-node mask at each link's receiver
+
+    msd = np.empty((B, T))
+    sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
+    bitmap = np.empty((B, T, V), dtype=bool)
+    bitmap[~(ad_col | rand_col)[:, 0]] = True  # the rows without a sampler
+    # a block's inputs, as the round loop reads them: each row's tap buffer,
+    # references d and step sizes mu, and the bitmap rows of its random samplers
+    rand_rows = np.flatnonzero(rand_col)
+    layout = {"taps": ((B, V, BLOCK + M - 1), float), "d": ((B, V, BLOCK), float),
+              "mu": ((B, V, BLOCK), float), "bits": ((rand_rows.size, BLOCK, V), bool)}
+
+    # The steps read the loop's l and s and the block's inputs as free
+    # variables, and write through out=: an augmented assignment would make
+    # the name local to the step.  Every take has valid indices; mode="clip"
+    # spares the copy that "raise" makes of out.
+    def adapt():  # psi = w + (mu e s) u
+        U = taps[:, :, L - 1 - l:L - 1 - l + M]
+        np.vecdot(U, W, out=e)
+        np.subtract(d_blk[:, :, l], e, out=e)
+        np.multiply(mu_blk[:, :, l], e, out=g)
+        np.multiply(g, s, out=g)
+        np.multiply(g3, U, out=PSI)
+        np.add(PSI, W, out=PSI)
+
     if per_link:
         # D slots per receiver: receiver k's links fill its first |N_k| slots in
         # edge order (edges are grouped by receiver); a pad slot is never fresh,
-        # holds zeros and gets weight 0
+        # holds zeros and gets weight 0, so a graph with one hub pays for
+        # padding at every node
         slot = dst_e * D + np.arange(E) - (np.cumsum(deg) - deg)[dst_e]
         valid = np.zeros(N)
         valid[slot] = 1.0
@@ -356,19 +346,40 @@ def run_batch(
         psi2_flat, colsum3 = psi2.reshape(B * V), colsum[:, :, None]
         inv_row, inv_slots = inv.reshape(B, V, 1, D), inv.reshape(B, V, D)
         ones_D = np.ones(D)
+        layout |= {"fresh": ((BLOCK, B, N), bool), "comms": ((B, BLOCK), np.int64)}
+        links = (src_ns, slot[noself], slot[~noself])
+
+        def transmit():  # refresh the fresh slots, then the ACW terms of every slot
+            fresh_rows = np.flatnonzero(inputs["fresh"][l])
+            fresh_src = src_flat.take(fresh_rows)
+            cache_rows[fresh_rows] = psi_rows.take(fresh_src)
+            np.vecdot(PSI, PSI, out=psi2)
+            xx_flat[fresh_rows] = psi2_flat.take(fresh_src)
+            np.matmul(cache, W_col, out=xw)
+            np.vecdot(W, W, out=ww)
+            np.copyto(ww_slots, ww[:, :, None])
+
+        def acw():  # every slot: a per-link row has no sampler
+            np.matmul(coef, terms_b, out=tmp)
+            np.maximum(tmp, SIGMA2_FLOOR, out=S2e)
+
+        def combine():  # the weighted sum over a receiver's slots over the sum of its weights
+            np.divide(valid, S2e, out=inv)
+            np.matmul(inv_slots, ones_D, out=colsum)
+            np.matmul(inv_row, cache, out=W_row)
+            np.divide(W, colsum3, out=W)
+
+        def count_comms():
+            comms[blk] = inputs["comms"][:, :L]
+
+        steps = [adapt, transmit, acw, combine]
     else:
         c = np.empty((B, E))
         inv_flat = inv.reshape(B * E)
+        s_dst = np.empty((B, E), dtype=bool)  # the sampled-node mask at each link's receiver
         # the numerator of the inverse variances: 0 on the links a row does not
         # have, so that a non_cooperative row's self link gets c_kk = inv / inv = 1
         num = has.astype(float)
-        # per node: the last psi each node transmitted, psi itself when all do;
-        # a censoring row transmits where it samples, any other row everywhere
-        if always_tx:
-            X = PSI
-        else:
-            X = np.zeros((B, V, M))
-            tx, uncensored = np.empty((B, V), dtype=bool), ~censor_col
         # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2, then ||w_k||^2,
         # in one buffer, so that one take gathers each link's three terms
         BVV = B * V * V
@@ -379,7 +390,47 @@ def run_batch(
         C = np.zeros((B, V, V))
         CT = C.transpose(0, 2, 1)
         C_all, jk_all, c_all = C.reshape(-1), jk_rows.ravel(), c.reshape(-1)
-    if adaptive:
+        # (B, V) the comms of a transmitting node: its out-links, or one
+        # broadcast if it has any
+        out_r = np.bincount(src_rows.ravel(), weights=(has & noself).ravel(), minlength=B * V)
+        unit_r = (out_r if cfg.comm_unit == "link" else out_r > 0).astype(np.int64).reshape(B, V)
+        links = None
+
+        def transmit():  # the Gram terms of every link
+            np.vecdot(W, W, out=ww)
+            np.matmul(X, WT, out=G)
+            np.vecdot(X, X, out=xx)
+            gram.take(gather, out=terms[:3], mode="clip")
+
+        def acw_sampled():  # sampled receivers only; an idle receiver's come out unchanged
+            np.matmul(coef, terms_b, out=tmp)
+            np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
+            np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst, mode="clip"), tmp)
+
+        def combine():  # the combination matrix C
+            np.divide(num, S2e, out=inv)
+            colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
+            np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
+            C_all[jk_all] = c_all
+            np.matmul(CT, X, out=W)
+
+        def count_comms():  # a node transmits iff it samples (censoring) or always
+            comms[blk] = np.where(censor_col, np.einsum("btv,bv->bt", bits, unit_r),
+                                  unit_r.sum(axis=1, keepdims=True))
+
+        steps = [adapt, transmit, acw_sampled, combine]
+        # every node combines the last psi each node transmitted: psi itself
+        # unless some row censors
+        X = PSI
+        if censor_col.any():
+            X = np.zeros((B, V, M))
+            tx, uncensored = np.empty((B, V), dtype=bool), ~censor_col
+
+            def censor():  # a censoring row transmits where it samples, any other everywhere
+                np.copyto(X, PSI, where=np.logical_or(s, uncensored, out=tx)[:, :, None])
+
+            steps.insert(1, censor)
+    if ad_col.any():
         # a non-adaptive row takes mu_s = beta = 0, so its alpha never moves
         alpha_plus = next(p.alpha_plus for p in pols if p.kind in AS_KINDS)
         alpha = np.full((B, V), alpha_plus)
@@ -388,32 +439,28 @@ def run_batch(
         q0 = q[:, :, 0]
         mu_s, beta = (np.array([[getattr(p, k) or 0.0] for p in pols]) for k in ("mu_s", "beta"))
 
-    msd = np.empty((B, T))
-    sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
-    bitmap = np.empty((B, T, V), dtype=bool)
-    bitmap[~(ad_col | rand_col)[:, 0]] = True  # the rows without a sampler
-    # per kind, its rows and, from the links they have, the node degrees and
-    # comm units its counters read; the comms of a transmitting node are its
-    # out-links, or one broadcast if it has any
-    row_kinds = []
-    for kind in dict.fromkeys(kinds):
-        rows_k = np.flatnonzero(np.equal(kinds, kind))
-        has_k = has[rows_k[0]]
-        deg_k = np.bincount(dst_e, weights=has_k, minlength=V).astype(np.int64)
-        out_k = np.bincount(src_e, weights=has_k & noself, minlength=V)
-        row_kinds.append((rows_k, kind, deg_k, (out_k if by_link else out_k > 0).astype(np.int64)))
+        def decide():
+            np.greater_equal(alpha, 0, out=s, where=ad_col)
+
+        def update_alpha():  # from the squared-error caches
+            np.putmask(eps2, s, np.multiply(e, e, out=g))
+            np.matmul(CT, eps2, out=q)
+            np.multiply(phi_prime(alpha, alpha_plus), mu_s, out=pp)
+            np.subtract(q0, np.multiply(s, beta, out=g), out=g)
+            np.multiply(g, pp, out=g)
+            np.add(alpha, g, out=alpha)
+            np.maximum(alpha, -alpha_plus, out=alpha)
+            np.minimum(alpha, alpha_plus, out=alpha)
+
+        steps = [decide, *steps, update_alpha]
     states = np.empty((B, T, V, M)) if record_states else None
-    # a block's inputs, as the round loop reads them: each row's tap buffer,
-    # references d and step sizes mu, and the masks drawn for the block
-    layout = {"taps": ((B, V, BLOCK + M - 1), float), "d": ((B, V, BLOCK), float),
-              "mu": ((B, V, BLOCK), float)}
-    rand_rows = np.flatnonzero(rand_col)
-    if random_subset:
-        layout["bits"] = ((rand_rows.size, BLOCK, V), bool)
-    if per_link:
-        layout |= {"fresh": ((BLOCK, B, N), bool), "comms": ((B, BLOCK), np.int64)}
-    prepare = functools.partial(_prepared_blocks, cfg, mat, rs, pols,
-                                links=(src_ns, slot[noself], slot[~noself]) if per_link else None)
+    if record_states:
+        def record():
+            states[:, n] = W
+
+        steps.append(record)
+
+    prepare = functools.partial(_prepared_blocks, cfg, mat, rs, pols, links=links)
     count = -(-T // BLOCK)
     blocks = (_prefetched(prepare, layout, count) if prefetch and count > 1
               else prepare(_slots(layout, 1)))
@@ -423,88 +470,18 @@ def run_batch(
             L = min(BLOCK, T - n0)
             blk = np.s_[:, n0:n0 + L]
             taps, d_blk, mu_blk = inputs["taps"], inputs["d"], inputs["mu"]
-            if random_subset:
-                bitmap[rand_rows, n0:n0 + L] = inputs["bits"][:, :L]
-            if per_link:
-                fresh = inputs["fresh"]
-                comms[blk] = inputs["comms"][:, :L]
+            bitmap[rand_rows, n0:n0 + L] = inputs["bits"][:, :L]
 
             for l in range(L):
                 n = n0 + l
                 if n == flip_at:
                     np.negative(w_opt, out=w_opt)
-
-                # decide
                 s = bitmap[:, n]
-                if adaptive:
-                    np.greater_equal(alpha, 0, out=s, where=ad_col)
-
-                # adapt: psi = w + (mu e s) u
-                U = taps[:, :, L - 1 - l:L - 1 - l + M]
-                np.vecdot(U, W, out=e)
-                np.subtract(d_blk[:, :, l], e, out=e)
-                np.multiply(mu_blk[:, :, l], e, out=g)
-                if not every:
-                    g *= s
-                np.multiply(g3, U, out=PSI)
-                PSI += W
-
-                # transmit, and the ACW terms over each link.  Every take below has
-                # valid indices; mode="clip" spares the copy that "raise" makes of out
-                np.vecdot(W, W, out=ww)
-                if per_link:
-                    fresh_rows = np.flatnonzero(fresh[l])
-                    fresh_src = src_flat.take(fresh_rows)
-                    cache_rows[fresh_rows] = psi_rows.take(fresh_src)
-                    np.vecdot(PSI, PSI, out=psi2)
-                    xx_flat[fresh_rows] = psi2_flat.take(fresh_src)
-                    np.matmul(cache, W_col, out=xw)
-                    np.copyto(ww_slots, ww[:, :, None])
-                else:
-                    if not always_tx:
-                        np.copyto(X, PSI, where=np.logical_or(s, uncensored, out=tx)[:, :, None])
-                    np.matmul(X, WT, out=G)
-                    np.vecdot(X, X, out=xx)
-                    gram.take(gather, out=terms[:3], mode="clip")
-
-                # ACW weights of sampled receivers; an idle receiver's come out unchanged
-                np.matmul(coef, terms_b, out=tmp)
-                if every:
-                    np.maximum(tmp, SIGMA2_FLOOR, out=S2e)
-                else:
-                    np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
-                    np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst, mode="clip"), tmp)
-
-                # combine: per link, the weighted sum over a receiver's slots divided
-                # by the sum of its weights; per node, the combination matrix C
-                if per_link:
-                    np.divide(valid, S2e, out=inv)
-                    np.matmul(inv_slots, ones_D, out=colsum)
-                    np.matmul(inv_row, cache, out=W_row)
-                    W /= colsum3
-                else:
-                    np.divide(num, S2e, out=inv)
-                    colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
-                    np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
-                    C_all[jk_all] = c_all
-                    np.matmul(CT, X, out=W)
-
-                # squared-error caches and alpha
-                if adaptive:
-                    np.putmask(eps2, s, np.multiply(e, e, out=g))
-                    np.matmul(CT, eps2, out=q)
-                    np.multiply(phi_prime(alpha, alpha_plus), mu_s, out=pp)
-                    np.subtract(q0, np.multiply(s, beta, out=g), out=g)
-                    g *= pp
-                    alpha += g
-                    np.maximum(alpha, -alpha_plus, out=alpha)
-                    np.minimum(alpha, alpha_plus, out=alpha)
-
-                # metrics: the squared deviations, divided by V once per block
+                for step in steps:
+                    step()
+                # the squared deviations, divided by V once per block
                 np.subtract(w_opt, W, out=dev)
                 np.vecdot(dev_flat, dev_flat, out=msd[:, n])
-                if states is not None:
-                    states[:, n] = W
 
             msd[blk] /= V
             bad = ~np.isfinite(msd[blk])
@@ -513,17 +490,12 @@ def run_batch(
                 raise NonFiniteStateError(
                     f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}", b)
 
-            # the block's counters, from its sampled nodes, per kind
+            # the block's counters, from its sampled nodes
             bits = bitmap[blk]
             sampled[blk] = np.count_nonzero(bits, axis=2)
-            for rows_k, kind, deg_k, unit_k in row_kinds:
-                blk_k, bits_k = (rows_k, blk[1]), bits[rows_k]
-                mults[blk_k], adds[blk_k] = analysis.network_op_cost(
-                    M, deg_k, sampled[blk_k], np.einsum("btv,v->bt", bits_k, deg_k),
-                    kind in AS_KINDS)
-                if not per_link:  # a node transmits iff it samples (censoring) or always
-                    comms[blk_k] = (np.einsum("btv,v->bt", bits_k, unit_k)
-                                    if kind == "as_censoring" else unit_k.sum())
+            mults[blk], adds[blk] = analysis.network_op_cost(
+                M, deg_r, sampled[blk], np.einsum("btv,bv->bt", bits, deg_r), ad_col)
+            count_comms()
 
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)

@@ -254,6 +254,24 @@ class TestAlphaUpdate:
         assert calls == [cfg.policy.alpha_plus] * cfg.iterations
         assert frozen.sampled_bitmap.all()  # a zero slope keeps every alpha at alpha_plus
 
+    @pytest.mark.parametrize("kinds", [["full"], ["random_sampling"], ["non_cooperative"],
+                                       ["full", "random_sampling", "non_cooperative"],
+                                       ["probabilistic_transmission"]])
+    def test_batch_without_adaptive_rows_never_calls_phi_prime(self, monkeypatch, kinds):
+        # a batch makes no call for a kind it lacks: without adaptive rows, no alpha update
+        import asdnlms.harness as harness
+
+        calls = []
+
+        def counted(alpha, alpha_plus):
+            calls.append(alpha_plus)
+            return phi_prime(alpha, alpha_plus)
+
+        monkeypatch.setattr(harness, "phi_prime", counted)
+        cfg = make_config(kind=kinds[0], V=6, M=4, iterations=300, seed=3)
+        run_batch(cfg, [0] * len(kinds), policies=[make_config(kind=k, V=6).policy for k in kinds])
+        assert calls == []
+
 
 KINDS = ["full", "as_sampling", "as_censoring", "random_sampling", "probabilistic_transmission",
          "non_cooperative"]

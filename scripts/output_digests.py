@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Run a fixed set of CLI calls and print a digest of every output they make.
 
-The set: the three presets at --seed 2 --realizations 3 --iterations 600,
-and `asdnlms run` of all six policies in both comm units at R=1 and R=8
-(V=20, M=10, 600 iterations, flip at 300).  Each call runs in a fresh
-interpreter that imports `asdnlms` from PYTHONPATH, so the digests of two
-source trees are compared by running this script once with each tree's
-`src` on PYTHONPATH and diffing what it prints.  One line per output file,
-`sha256  relative/path`, sorted, then one line for the calls' stdout with
-the output directory replaced by OUT.
+The set: the three presets at --seed 2 --realizations 3 --iterations 600;
+`asdnlms run` of all six policies in both comm units at R=1 and R=8
+(V=20, M=10, 600 iterations, flip at 300); and one realization each of
+as_censoring and probabilistic_transmission in the shape of perfbench's
+long_sparse_network (V=100, radius 0.18, M=10, 600 iterations, flip at
+300), whose blocks are the largest a block producer sends.  Each call runs
+in a fresh interpreter that imports `asdnlms` from PYTHONPATH, so the
+digests of two source trees are compared by running this script once with
+each tree's `src` on PYTHONPATH and diffing what it prints.  One line per
+output file, `sha256  relative/path`, sorted, then one line for the calls'
+stdout with the output directory replaced by OUT.
 
 Usage:
     PYTHONPATH=src python scripts/output_digests.py OUT > digests.txt
@@ -38,6 +41,7 @@ env.flip_iteration = 300
 run.iterations = 600
 run.seed = 2
 """
+SPARSE = RUN.replace("topology.V = 20", "topology.V = 100\ntopology.radius = 0.18")
 
 
 def calls(out: Path, configs: Path):
@@ -53,6 +57,11 @@ def calls(out: Path, configs: Path):
                 path.write_text(RUN + f"policy.kind = {kind}\n{params}run.comm_unit = {unit}\n"
                                 f"run.realizations = {R}\nrun.label = {label}\n")
                 yield ["run", "--config", str(path), "--out", str(out / "run")]
+    for kind in ("as_censoring", "probabilistic_transmission"):
+        path = configs / f"sparse_{kind}.cfg"
+        path.write_text(SPARSE + f"policy.kind = {kind}\n{POLICIES[kind]}"
+                        f"run.realizations = 1\nrun.label = sparse_{kind}\n")
+        yield ["run", "--config", str(path), "--out", str(out / "run")]
 
 
 def main() -> int:

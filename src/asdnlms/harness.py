@@ -24,7 +24,6 @@ policies see identical signal streams — paired comparisons stay paired.
 from __future__ import annotations
 
 import contextlib
-import functools
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from asdnlms.network import (
     load_edge_list,
     uniform_weights,  # noqa: F401  (unused; perfbench/run.py traces it here)
 )
-from asdnlms.parallel import _prefetched, _run_batches, _slots, usable_cpus
+from asdnlms.parallel import _prefetched, _run_batches, usable_cpus
 from asdnlms.sampling import (
     AS_KINDS,
     DEFAULT_ALPHA_PLUS,
@@ -217,8 +216,8 @@ def run_batch(
     workspace, built before the first block; a batch makes no call for a
     kind it lacks.  The blocks of BLOCK iterations, with their signals and
     masks, come from :func:`_prepared_blocks`; with ``prefetch``, a batch
-    of more than one block runs it in a forked producer
-    (:func:`parallel._prefetched`), one block ahead of the loop, and the
+    of more than one block resumes it in a forked producer after block 0
+    (:func:`parallel._prefetched`), which runs ahead of the loop, and the
     series are the same either way.  Every block checks that the network
     MSD stayed finite and raises :class:`NonFiniteStateError` otherwise.
     Every array the loop writes is allocated before the first block and
@@ -303,11 +302,7 @@ def run_batch(
     sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
     bitmap = np.empty((B, T, V), dtype=bool)
     bitmap[~(ad_col | rand_col)[:, 0]] = True  # the rows without a sampler
-    # a block's inputs, as the round loop reads them: each row's tap buffer,
-    # references d and step sizes mu, and the bitmap rows of its random samplers
     rand_rows = np.flatnonzero(rand_col)
-    layout = {"taps": ((B, V, BLOCK + M - 1), float), "d": ((B, V, BLOCK), float),
-              "mu": ((B, V, BLOCK), float), "bits": ((rand_rows.size, BLOCK, V), bool)}
 
     # The steps read the loop's l and s and the block's inputs as free
     # variables, and write through out=: an augmented assignment would make
@@ -346,8 +341,7 @@ def run_batch(
         psi2_flat, colsum3 = psi2.reshape(B * V), colsum[:, :, None]
         inv_row, inv_slots = inv.reshape(B, V, 1, D), inv.reshape(B, V, D)
         ones_D = np.ones(D)
-        layout |= {"fresh": ((BLOCK, B, N), bool), "comms": ((B, BLOCK), np.int64)}
-        links = (src_ns, slot[noself], slot[~noself])
+        links = (N, src_ns, slot[noself], slot[~noself])
 
         def transmit():  # refresh the fresh slots, then the ACW terms of every slot
             fresh_rows = np.flatnonzero(inputs["fresh"][l])
@@ -460,10 +454,9 @@ def run_batch(
 
         steps.append(record)
 
-    prepare = functools.partial(_prepared_blocks, cfg, mat, rs, pols, links=links)
-    count = -(-T // BLOCK)
-    blocks = (_prefetched(prepare, layout, count) if prefetch and count > 1
-              else prepare(_slots(layout, 1)))
+    blocks = _prepared_blocks(cfg, mat, rs, pols, links)
+    if prefetch and T > BLOCK:
+        blocks = _prefetched(blocks)
 
     with contextlib.closing(blocks):
         for n0, inputs in zip(range(0, T, BLOCK), blocks):
@@ -511,34 +504,36 @@ def _link_comms(links: np.ndarray, src: np.ndarray, V: int, by_link: bool) -> np
     return np.count_nonzero(reached, axis=-1)
 
 
-def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols, slots, links=None):
-    """Yield the inputs of a batch's blocks, block k written into ``slots[k % len(slots)]``.
+def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols, links):
+    """Yield the inputs of a batch's blocks, each block written into the same arrays.
 
     None of them reads the round's state.  Per row: the tap buffer (the
     block's inputs and the M-1 before, newest first), the references d and
     the step sizes mu, each drawn and windowed once per distinct realization
     and copied to the rows that share it; the sampled-node bitmap of each
-    random_sampling row; and per link (``links`` holds the transmitter and
-    the slot of each non-self link, and the self slots, which are always
-    fresh) the fresh-slot mask and the communications of each iteration.
-    Every generator of the batch lives here, so its streams are drawn in the
-    same order wherever this runs.
+    random_sampling row; and per link (``links`` holds the link slot count,
+    the transmitter and the slot of each non-self link, and the self slots,
+    which are always fresh) the fresh-slot mask and the communications of
+    each iteration.  Every generator of the batch lives here, so its streams
+    are drawn in the same order wherever this runs.
     """
     top, env = mat.topology, mat.env
-    V, M, T = top.node_count, env.M, cfg.iterations
+    B, V, M, T = len(rs), top.node_count, env.M, cfg.iterations
     distinct = list(dict.fromkeys(rs))
     row_signal = np.array([distinct.index(r) for r in rs])
     streams = signal_streams(cfg.seed, distinct, V)
     policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
     rand_rows = [b for b, p in enumerate(pols) if p.kind == "random_sampling"]
+    out = {"taps": np.zeros((B, V, BLOCK + M - 1)), "d": np.zeros((B, V, BLOCK)),
+           "mu": np.zeros((B, V, BLOCK)), "bits": np.zeros((len(rand_rows), BLOCK, V), bool)}
     if links is not None:
-        src_ns, slot_ns, slot_self = links
-        for out in slots:
-            out["fresh"][:, :, slot_self] = True
+        N, src_ns, slot_ns, slot_self = links
+        out["fresh"] = np.zeros((BLOCK, B, N), bool)
+        out["fresh"][:, :, slot_self] = True
+        out["comms"] = np.zeros((B, BLOCK), np.int64)
     taps = np.zeros((len(distinct), V, BLOCK + M - 1))
-    for k, n0 in enumerate(range(0, T, BLOCK)):
+    for n0 in range(0, T, BLOCK):
         L = min(BLOCK, T - n0)
-        out = slots[k % len(slots)]
         work, d_blk = draw_signal_blocks(env, streams, L)
         taps[:, :, L:L + M - 1] = taps[:, :, :M - 1]
         taps[:, :, :L] = work[:, :, ::-1]
@@ -776,11 +771,12 @@ def write_csv(result: MonteCarloResult, path: str | Path) -> None:
     cols = np.column_stack([np.arange(len(result.msd)),
                             *(getattr(result, k) for k in CSV_COLUMNS)])
     # np.savetxt's bytes, formatted from Python floats rather than numpy scalars;
-    # in chunks of rows, so that few of those floats are alive at a time
+    # in chunks of rows, one % each, so that few of those floats are alive at a time
     with path.open("w") as f:
         f.write(CSV_HEADER + "\n")
         for lo in range(0, len(cols), 256):
-            f.write("".join(CSV_ROW % tuple(row) for row in cols[lo:lo + 256].tolist()))
+            chunk = cols[lo:lo + 256]
+            f.write(CSV_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_manifest(manifest: dict, path: str | Path) -> None:

@@ -1,18 +1,22 @@
-"""A campaign's processes: its batch workers and block producers, each a :func:`_forked` child."""
+"""A campaign's processes: its batch workers and block producers, each a :func:`_forked`
+child that pickles what it makes to its pipe."""
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import mmap
+import itertools
 import os
 import pickle
 import signal
 import threading
 
-import numpy as np
+try:
+    import fcntl
+except ImportError:  # Windows
+    fcntl = None
 
-FREE = b"f"  # a consumer's token: it is done with a block's slot
+PIPE_SIZE = 1 << 20  # a child's pipe, where Linux allows it: a block crosses in one write
 
 
 def usable_cpus() -> int:
@@ -30,11 +34,14 @@ def _forked(body, unused):
 
     ``send`` pickles an object to the pipe; an exception from ``body`` is sent
     in place of the next object and ends the child.  The child closes the read
-    end and ``unused``, so that its sends and reads fail once this process is
-    gone, and leaves through ``os._exit``, with 0 once ``body`` has returned or
-    its exception was sent.  It is killed and reaped when the context ends.
+    end and ``unused``, so that its sends fail once this process is gone, and
+    leaves through ``os._exit``, with 0 once ``body`` has returned or its
+    exception was sent.  It is killed and reaped when the context ends.
     """
     r, w = os.pipe()
+    # no fcntl or F_SETPIPE_SZ (Windows, macOS), or above pipe-max-size: the default size
+    with contextlib.suppress(AttributeError, OSError):
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, PIPE_SIZE)
     try:
         pid = os.fork()
     except BaseException:
@@ -83,55 +90,25 @@ def _receive(pipe, missing: str):
     return obj
 
 
-def _slots(layout: dict, n: int) -> list[dict[str, np.ndarray]]:
-    """``n`` block slots, each a dict of zeroed arrays of ``layout``'s (shape, dtype).
+def _prefetched(blocks):
+    """The blocks of generator ``blocks``, all but the first prepared ahead in a forked producer.
 
-    They lie one after another in one anonymous shared ``mmap``, so a forked
-    child writes into the same memory as its parent.
+    Block 0 comes from ``blocks`` here; a :func:`_forked` producer then
+    resumes the suspended generator and sends each later block, running
+    ahead until its pipe is full.  The consumer takes no more blocks than
+    ``blocks`` yields.  An exception the producer raises is re-raised at its
+    block.  The producer is killed and reaped when this generator is closed.
     """
-    counts = {name: int(np.prod(shape)) for name, (shape, _) in layout.items()}
-    # each array starts on a 64-byte boundary
-    sizes = {name: -(-counts[name] * np.dtype(dt).itemsize // 64) * 64
-             for name, (_, dt) in layout.items()}
-    buf = mmap.mmap(-1, n * sum(sizes.values()))
-    slots, offset = [], 0
-    for _ in range(n):
-        slots.append({})
-        for name, (shape, dt) in layout.items():
-            slots[-1][name] = np.frombuffer(buf, dt, counts[name], offset).reshape(shape)
-            offset += sizes[name]
-    return slots
-
-
-def _prefetched(prepare, layout: dict, count: int):
-    """The ``count`` blocks of ``prepare(slots)``, prepared ahead in a forked producer.
-
-    The producer writes block k into slot k mod 2 of two :func:`_slots` and
-    sends None; this generator yields that slot and, when asked for the next
-    block, writes a FREE token, which lets the producer write block k + 2
-    there.  An exception the producer raises is re-raised at its block.  The
-    producer is killed and reaped when this generator is closed.
-    """
-    slots = _slots(layout, 2)
-    free_r, free = os.pipe()  # both ends stay open here, so a FREE write never fails
+    first = next(blocks)
 
     def produce(send):
-        for k, _ in enumerate(prepare(slots)):
-            send(None)
-            # block k + 1 goes into the slot of block k - 1; the read finds EOF
-            # once the consumer, the only holder of free, is gone
-            if k and os.read(free_r, 1) != FREE:
-                return
+        for block in blocks:
+            send(block)
 
-    try:
-        with _forked(produce, (free,)) as pipe:
-            for k in range(count):
-                _receive(pipe, f"block {k}'s producer died without it")
-                yield slots[k % 2]
-                os.write(free, FREE)
-    finally:
-        os.close(free_r)
-        os.close(free)
+    with _forked(produce, ()) as pipe:
+        yield first
+        for k in itertools.count(1):
+            yield _receive(pipe, f"block {k}'s producer died without it")
 
 
 def _run_batches(plan, run, take, workers: int) -> None:

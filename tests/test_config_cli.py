@@ -518,7 +518,7 @@ class TestCli:
     @pytest.mark.parametrize("realizations, name, call, message", [
         # 8 realizations on 2 CPUs: batch 1 runs in a worker
         ("8", "run_batch", 1, "batch 1's worker died without its result"),
-        # one realization of 3 blocks on 2 CPUs: a producer draws them
+        # one realization of 3 blocks on 2 CPUs: a producer draws blocks 1 and 2
         ("1", "draw_signal_blocks", 2, "block 1's producer died without it"),
     ], ids=["worker", "producer"])
     def test_child_dying_without_sending_is_runtime_error(self, realizations, name, call, message,

@@ -814,18 +814,34 @@ class TestPrefetchedBlocks:
 
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
 
-    def config(self, kind):
-        return make_config(kind=kind, V=10, M=4, iterations=self.T, seed=6, flip=BLOCK + 7)
+    def config(self, kind, V=10):
+        return make_config(kind=kind, V=V, M=4, iterations=self.T, seed=6, flip=BLOCK + 7)
 
-    @pytest.mark.parametrize("kind", ["as_censoring", "probabilistic_transmission",
-                                      "random_sampling"])
-    def test_one_row_matches_one_cpu(self, kind, forks, monkeypatch):
+    @pytest.mark.parametrize("kind, default_pipe", [
+        ("as_censoring", False), ("probabilistic_transmission", False),
+        ("random_sampling", False), ("as_censoring", True),
+        ("probabilistic_transmission", True)], ids=[
+        "as_censoring", "probabilistic_transmission", "random_sampling",
+        "as_censoring-default_pipe", "probabilistic_transmission-default_pipe"])
+    def test_one_row_matches_one_cpu(self, kind, default_pipe, forks, monkeypatch):
         import asdnlms.harness as harness
 
-        cfg = self.config(kind)
+        refused = []
+        if default_pipe:
+            # the pipe cannot be enlarged, so it keeps its default size (64 KiB
+            # on Linux), which a block of V = 40 crosses in several writes
+            fcntl = pytest.importorskip("fcntl")
+
+            def refuse(fd, cmd, arg):
+                refused.append(cmd)
+                raise OSError(errno.EPERM, "no larger pipe")
+
+            monkeypatch.setattr(fcntl, "fcntl", refuse)
+        cfg = self.config(kind, V=40 if default_pipe else 10)
         mat = materialize(cfg)
         got = monte_carlo(cfg, mat)
         assert len(forks) == 1  # the producer
+        assert len(refused) == default_pipe
         no_child_left()
         monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         want = monte_carlo(cfg, mat)
@@ -847,9 +863,24 @@ class TestPrefetchedBlocks:
         for name in SERIES:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    def test_block_0_is_drawn_here_and_the_rest_in_the_producer(self, forks, monkeypatch,
+                                                                 tmp_path):
+        import asdnlms.harness as harness
+
+        draw, log = harness.draw_signal_blocks, tmp_path / "draws"
+
+        def logged(env, streams, iterations):
+            with log.open("a") as f:  # the producer's calls land here too
+                f.write(f"{os.getpid()}\n")
+            return draw(env, streams, iterations)
+
+        monkeypatch.setattr(harness, "draw_signal_blocks", logged)
+        monte_carlo(self.config("as_censoring"))
+        assert log.read_text().split() == [str(os.getpid()), str(forks[0]), str(forks[0])]
+
     @staticmethod
     def in_producer(monkeypatch, spoil):
-        # spoil(inputs) at the producer's second draw: block 1
+        # spoil(inputs) at the second draw, block 1, which the producer makes
         import asdnlms.harness as harness
 
         consumer, draw, calls = os.getpid(), harness.draw_signal_blocks, []

@@ -6,7 +6,7 @@ The set: the three presets at --seed 2 --realizations 3 --iterations 600;
 (V=20, M=10, 600 iterations, flip at 300); and one realization each of
 as_censoring and probabilistic_transmission in the shape of perfbench's
 long_sparse_network (V=100, radius 0.18, M=10, 600 iterations, flip at
-300), whose blocks are the largest a block producer sends.  Each call runs
+300), the one-row campaigns with the largest blocks.  Each call runs
 in a fresh interpreter that imports `asdnlms` from PYTHONPATH, so the
 digests of two source trees are compared by running this script once with
 each tree's `src` on PYTHONPATH and diffing what it prints.  One line per

@@ -13,9 +13,9 @@ the sampled-node bitmap, the operation counts through the :mod:`analysis`
 cost model.  Realizations are independent: a campaign runs the
 (variant, realization) rows of variants that share a network in batches of
 at most CHUNK rows on one engine path, one loop over (B, V, M) arrays each,
-run by the forked workers and block producers of :mod:`parallel` on the
-CPUs this process may use; aggregation is an element-wise mean per variant
-in realization order.
+run by this process and the forked workers of :mod:`parallel` on the CPUs it
+may use; aggregation is an element-wise mean per variant in realization
+order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -23,7 +23,6 @@ policies see identical signal streams — paired comparisons stay paired.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from asdnlms.network import (
     load_edge_list,
     uniform_weights,  # noqa: F401  (unused; perfbench/run.py traces it here)
 )
-from asdnlms.parallel import _prefetched, _run_batches, usable_cpus
+from asdnlms.parallel import _run_batches, usable_cpus
 from asdnlms.sampling import (
     AS_KINDS,
     DEFAULT_ALPHA_PLUS,
@@ -189,7 +188,6 @@ def run_batch(
     mat: Materialized | None = None,
     record_states: bool = False,
     policies=None,
-    prefetch: bool = False,
 ) -> RunSeries:
     """Run seeded realizations side by side, on (B, V, M) state.
 
@@ -215,11 +213,9 @@ def run_batch(
     The round is the batch's list of steps, each a closure over the
     workspace, built before the first block; a batch makes no call for a
     kind it lacks.  The blocks of BLOCK iterations, with their signals and
-    masks, come from :func:`_prepared_blocks`; with ``prefetch``, a batch
-    of more than one block resumes it in a forked producer after block 0
-    (:func:`parallel._prefetched`), which runs ahead of the loop, and the
-    series are the same either way.  Every block checks that the network
-    MSD stayed finite and raises :class:`NonFiniteStateError` otherwise.
+    masks, come from :func:`_prepared_blocks`, in the process that runs the
+    round.  Every block checks that the network MSD stayed finite and raises
+    :class:`NonFiniteStateError` otherwise.
     Every array the loop writes is allocated before the first block and
     written in place (``out=``); an iteration allocates only small arrays.
 
@@ -454,41 +450,36 @@ def run_batch(
 
         steps.append(record)
 
-    blocks = _prepared_blocks(cfg, mat, rs, pols, links)
-    if prefetch and T > BLOCK:
-        blocks = _prefetched(blocks)
+    for n0, inputs in zip(range(0, T, BLOCK), _prepared_blocks(cfg, mat, rs, pols, links)):
+        L = min(BLOCK, T - n0)
+        blk = np.s_[:, n0:n0 + L]
+        taps, d_blk, mu_blk = inputs["taps"], inputs["d"], inputs["mu"]
+        bitmap[rand_rows, n0:n0 + L] = inputs["bits"][:, :L]
 
-    with contextlib.closing(blocks):
-        for n0, inputs in zip(range(0, T, BLOCK), blocks):
-            L = min(BLOCK, T - n0)
-            blk = np.s_[:, n0:n0 + L]
-            taps, d_blk, mu_blk = inputs["taps"], inputs["d"], inputs["mu"]
-            bitmap[rand_rows, n0:n0 + L] = inputs["bits"][:, :L]
+        for l in range(L):
+            n = n0 + l
+            if n == flip_at:
+                np.negative(w_opt, out=w_opt)
+            s = bitmap[:, n]
+            for step in steps:
+                step()
+            # the squared deviations, divided by V once per block
+            np.subtract(w_opt, W, out=dev)
+            np.vecdot(dev_flat, dev_flat, out=msd[:, n])
 
-            for l in range(L):
-                n = n0 + l
-                if n == flip_at:
-                    np.negative(w_opt, out=w_opt)
-                s = bitmap[:, n]
-                for step in steps:
-                    step()
-                # the squared deviations, divided by V once per block
-                np.subtract(w_opt, W, out=dev)
-                np.vecdot(dev_flat, dev_flat, out=msd[:, n])
+        msd[blk] /= V
+        bad = ~np.isfinite(msd[blk])
+        if bad.any():
+            b, l = np.argwhere(bad)[0]
+            raise NonFiniteStateError(
+                f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}", b)
 
-            msd[blk] /= V
-            bad = ~np.isfinite(msd[blk])
-            if bad.any():
-                b, l = np.argwhere(bad)[0]
-                raise NonFiniteStateError(
-                    f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}", b)
-
-            # the block's counters, from its sampled nodes
-            bits = bitmap[blk]
-            sampled[blk] = np.count_nonzero(bits, axis=2)
-            mults[blk], adds[blk] = analysis.network_op_cost(
-                M, deg_r, sampled[blk], np.einsum("btv,bv->bt", bits, deg_r), ad_col)
-            count_comms()
+        # the block's counters, from its sampled nodes
+        bits = bitmap[blk]
+        sampled[blk] = np.count_nonzero(bits, axis=2)
+        mults[blk], adds[blk] = analysis.network_op_cost(
+            M, deg_r, sampled[blk], np.einsum("btv,bv->bt", bits, deg_r), ad_col)
+        count_comms()
 
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)
@@ -630,11 +621,10 @@ class VariantGroup:
     an alpha_plus, while probabilistic_transmission rows, whatever their p,
     run in batches of their own.  The batches run on :func:`usable_cpus`
     processes, this one and :func:`parallel._run_batches`'s forked workers,
-    and a plan that leaves an idle CPU per batch (one batch on 2 CPUs) also
-    prefetches their blocks.  This process adds each batch's rows in plan
-    order, so each variant sums its own rows in realization order and its
-    means are bit-identical to those of a group of one, on any number of
-    CPUs.  The rows run lazily, on the first call of :meth:`means`.
+    each of which prepares the blocks of the batches it runs.  This process
+    adds each batch's rows in plan order, so each variant sums its own rows
+    in realization order and its means are bit-identical to those of a group
+    of one, on any number of CPUs.  The rows run lazily, on the first call of :meth:`means`.
     """
 
     def __init__(self, configs):
@@ -659,8 +649,7 @@ class VariantGroup:
         def run(rows):
             try:
                 return run_batch(cfg, [r for _, r in rows], mat,
-                                 policies=[self.configs[i].policy for i, _ in rows],
-                                 prefetch=2 * len(plan) <= cpus)
+                                 policies=[self.configs[i].policy for i, _ in rows])
             except NonFiniteStateError as exc:  # name the variant, which may not be cfg
                 raise NonFiniteStateError(f"{self.configs[rows[exc.row][0]].name()}, {exc}",
                                           exc.row) from exc

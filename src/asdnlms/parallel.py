@@ -1,22 +1,14 @@
-"""A campaign's processes: its batch workers and block producers, each a :func:`_forked`
-child that pickles what it makes to its pipe."""
+"""A campaign's batch workers: :func:`_forked` children that each pickle their
+batches' results to a pipe, while this process runs its own share."""
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import os
 import pickle
 import signal
 import threading
-
-try:
-    import fcntl
-except ImportError:  # Windows
-    fcntl = None
-
-PIPE_SIZE = 1 << 20  # a child's pipe, where Linux allows it: a block crosses in one write
 
 
 def usable_cpus() -> int:
@@ -39,9 +31,6 @@ def _forked(body, unused):
     exception was sent.  It is killed and reaped when the context ends.
     """
     r, w = os.pipe()
-    # no fcntl or F_SETPIPE_SZ (Windows, macOS), or above pipe-max-size: the default size
-    with contextlib.suppress(AttributeError, OSError):
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, PIPE_SIZE)
     try:
         pid = os.fork()
     except BaseException:
@@ -88,27 +77,6 @@ def _receive(pipe, missing: str):
     if isinstance(obj, Exception):
         raise obj
     return obj
-
-
-def _prefetched(blocks):
-    """The blocks of generator ``blocks``, all but the first prepared ahead in a forked producer.
-
-    Block 0 comes from ``blocks`` here; a :func:`_forked` producer then
-    resumes the suspended generator and sends each later block, running
-    ahead until its pipe is full.  The consumer takes no more blocks than
-    ``blocks`` yields.  An exception the producer raises is re-raised at its
-    block.  The producer is killed and reaped when this generator is closed.
-    """
-    first = next(blocks)
-
-    def produce(send):
-        for block in blocks:
-            send(block)
-
-    with _forked(produce, ()) as pipe:
-        yield first
-        for k in itertools.count(1):
-            yield _receive(pipe, f"block {k}'s producer died without it")
 
 
 def _run_batches(plan, run, take, workers: int) -> None:

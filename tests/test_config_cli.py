@@ -469,7 +469,7 @@ class TestCli:
     ])
     def test_one_row_outputs_identical_on_one_and_two_cpus(self, policy, tmp_path, monkeypatch,
                                                           forks):
-        # one realization: at 2 CPUs a forked producer prepares the signal blocks
+        # one realization: one batch, which runs in this process at either CPU count
         import asdnlms.harness as harness
 
         text = "\n".join(line for line in GOOD_CONFIG.splitlines()
@@ -486,7 +486,7 @@ class TestCli:
             out = tmp_path / f"cpus{cpus}"
             assert main(["run", "--config", str(path), "--out", str(out)]) == 0
             outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
-            assert len(forks) == cpus - 1
+            assert not forks
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) == 2  # the CSV and the manifest
         no_child_left()
@@ -515,32 +515,25 @@ class TestCli:
         assert not (out / "as_sampling.csv").exists()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
-    @pytest.mark.parametrize("realizations, name, call, message", [
+    def test_child_dying_without_sending_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         # 8 realizations on 2 CPUs: batch 1 runs in a worker
-        ("8", "run_batch", 1, "batch 1's worker died without its result"),
-        # one realization of 3 blocks on 2 CPUs: a producer draws blocks 1 and 2
-        ("1", "draw_signal_blocks", 2, "block 1's producer died without it"),
-    ], ids=["worker", "producer"])
-    def test_child_dying_without_sending_is_runtime_error(self, realizations, name, call, message,
-                                                          tmp_path, capsys, monkeypatch):
         import asdnlms.harness as harness
 
-        parent, real, calls = os.getpid(), getattr(harness, name), []
+        parent, run_batch = os.getpid(), harness.run_batch
 
         def dies_in_the_child(*args, **kwargs):
-            calls.append(name)
-            if os.getpid() != parent and len(calls) == call:
+            if os.getpid() != parent:
                 os._exit(0)
-            return real(*args, **kwargs)
+            return run_batch(*args, **kwargs)
 
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(harness, name, dies_in_the_child)
+        monkeypatch.setattr(harness, "run_batch", dies_in_the_child)
         path = tmp_path / "run.cfg"
-        path.write_text(with_key(with_key(GOOD_CONFIG, "run.realizations", realizations),
+        path.write_text(with_key(with_key(GOOD_CONFIG, "run.realizations", "8"),
                                  "run.iterations", "300"))
         out = tmp_path / "results"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert "batch 1's worker died without its result" in capsys.readouterr().err
         assert not (out / "as_sampling.csv").exists()
         no_child_left()
 

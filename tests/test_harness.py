@@ -1,5 +1,6 @@
 import errno
 import os
+import pickle
 import threading
 from dataclasses import replace
 
@@ -726,24 +727,35 @@ counts_fds = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
 class TestForkedWorkers:
     """Campaigns at 2 CPUs, on any host: the second batch runs in a forked child."""
 
+    SMALL = (6, 4, 60, 2)  # V, M, T, R
+
     @pytest.fixture
-    def campaign(self, monkeypatch):
-        # four rows split in halves: v2's rows run here, v4's in the child
+    def campaign(self, monkeypatch, request):
+        # 2R rows split in halves: v2's rows run here, v4's in the child
         import asdnlms.harness as harness
 
+        V, M, T, R = getattr(request, "param", self.SMALL)
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
-        base = make_config(kind="random_sampling", V=6, M=4, iterations=60, realizations=2)
+        base = make_config(kind="random_sampling", V=V, M=M, iterations=T, realizations=R)
         cfgs = [replace(base, label=f"v{vs}", policy=PolicyConfig(kind="random_sampling", V_s=vs))
                 for vs in (2, 4)]
-        assert plan_batches(cfgs, 2) == [[(0, 0), (0, 1)], [(1, 0), (1, 1)]]
+        assert plan_batches(cfgs, 2) == [[(i, r) for r in range(R)] for i in (0, 1)]
         return cfgs, group_variants(cfgs), materialize(base)
 
-    def test_matches_one_cpu_and_leaves_no_process(self, campaign, monkeypatch):
+    # the larger campaign's worker result, about 140 KB, crosses the pipe in
+    # several writes (its default size is 64 KiB on Linux)
+    @pytest.mark.parametrize("campaign, min_bytes", [
+        (SMALL, 0), ((20, 10, 600, 4), 1 << 16)],
+        ids=["small", "result_over_64KiB"], indirect=["campaign"])
+    def test_matches_one_cpu_and_leaves_no_process(self, campaign, min_bytes, monkeypatch):
         import asdnlms.harness as harness
 
         cfgs, groups, mat = campaign
         got = [monte_carlo(cfg, mat, group) for cfg, group in zip(cfgs, groups)]
         no_child_left()
+        R = cfgs[1].realizations
+        child_result = run_batch(cfgs[1], range(R), mat, policies=[cfgs[1].policy] * R)
+        assert len(pickle.dumps(child_result, pickle.HIGHEST_PROTOCOL)) > min_bytes
         monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         for cfg, result in zip(cfgs, got):
             want = monte_carlo(cfg, mat)
@@ -786,6 +798,7 @@ class TestForkedWorkers:
         no_child_left()
 
     def test_single_row_forks_nothing(self, monkeypatch):
+        # one batch, however many blocks, runs in this process: nothing prepares them ahead
         import asdnlms.harness as harness
 
         def no_fork():
@@ -793,154 +806,16 @@ class TestForkedWorkers:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
-        cfg = make_config(iterations=30)
-        assert np.isfinite(monte_carlo(cfg).msd).all()
+        three_blocks = [make_config(kind=kind, V=10, M=4, iterations=2 * BLOCK + 44, seed=6,
+                                    flip=BLOCK + 7)
+                        for kind in ("as_censoring", "probabilistic_transmission")]
+        for cfg in (make_config(iterations=30), *three_blocks):
+            assert np.isfinite(monte_carlo(cfg).msd).all()
 
     @counts_fds
     def test_failed_fork_leaks_no_descriptor(self, campaign, monkeypatch):
         cfgs, groups, mat = campaign
         _failed_fork_leaks_no_descriptor(monkeypatch, lambda: monte_carlo(cfgs[0], mat, groups[0]))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
-class TestPrefetchedBlocks:
-    """One-row campaigns at 2 CPUs, on any host: a forked producer prepares the blocks."""
-
-    T = 2 * BLOCK + 44  # three blocks, the last one short
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        import asdnlms.harness as harness
-
-        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
-
-    def config(self, kind, V=10):
-        return make_config(kind=kind, V=V, M=4, iterations=self.T, seed=6, flip=BLOCK + 7)
-
-    @pytest.mark.parametrize("kind, default_pipe", [
-        ("as_censoring", False), ("probabilistic_transmission", False),
-        ("random_sampling", False), ("as_censoring", True),
-        ("probabilistic_transmission", True)], ids=[
-        "as_censoring", "probabilistic_transmission", "random_sampling",
-        "as_censoring-default_pipe", "probabilistic_transmission-default_pipe"])
-    def test_one_row_matches_one_cpu(self, kind, default_pipe, forks, monkeypatch):
-        import asdnlms.harness as harness
-
-        refused = []
-        if default_pipe:
-            # the pipe cannot be enlarged, so it keeps its default size (64 KiB
-            # on Linux), which a block of V = 40 crosses in several writes
-            fcntl = pytest.importorskip("fcntl")
-
-            def refuse(fd, cmd, arg):
-                refused.append(cmd)
-                raise OSError(errno.EPERM, "no larger pipe")
-
-            monkeypatch.setattr(fcntl, "fcntl", refuse)
-        cfg = self.config(kind, V=40 if default_pipe else 10)
-        mat = materialize(cfg)
-        got = monte_carlo(cfg, mat)
-        assert len(forks) == 1  # the producer
-        assert len(refused) == default_pipe
-        no_child_left()
-        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
-        want = monte_carlo(cfg, mat)
-        assert len(forks) == 1
-        for name in ("msd", "msd_db", "msd_db_smoothed") + COUNTERS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-    def test_rows_sharing_a_realization_match_in_process(self, forks):
-        cfg = self.config("as_sampling")
-        mat = materialize(cfg)
-        pols = [cfg.policy, PolicyConfig(kind="random_sampling", V_s=3),
-                PolicyConfig(kind="full"), PolicyConfig(kind="as_censoring", beta=0.68,
-                                                        mu_s=0.1571)]
-        got = run_batch(cfg, [0, 1, 0, 0], mat, policies=pols, prefetch=True)
-        assert len(forks) == 1
-        no_child_left()
-        want = run_batch(cfg, [0, 1, 0, 0], mat, policies=pols)
-        assert len(forks) == 1
-        for name in SERIES:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-    def test_block_0_is_drawn_here_and_the_rest_in_the_producer(self, forks, monkeypatch,
-                                                                 tmp_path):
-        import asdnlms.harness as harness
-
-        draw, log = harness.draw_signal_blocks, tmp_path / "draws"
-
-        def logged(env, streams, iterations):
-            with log.open("a") as f:  # the producer's calls land here too
-                f.write(f"{os.getpid()}\n")
-            return draw(env, streams, iterations)
-
-        monkeypatch.setattr(harness, "draw_signal_blocks", logged)
-        monte_carlo(self.config("as_censoring"))
-        assert log.read_text().split() == [str(os.getpid()), str(forks[0]), str(forks[0])]
-
-    @staticmethod
-    def in_producer(monkeypatch, spoil):
-        # spoil(inputs) at the second draw, block 1, which the producer makes
-        import asdnlms.harness as harness
-
-        consumer, draw, calls = os.getpid(), harness.draw_signal_blocks, []
-
-        def spoiled(env, streams, iterations):
-            inputs, noises = draw(env, streams, iterations)
-            calls.append(iterations)
-            if os.getpid() != consumer and len(calls) == 2:
-                spoil(inputs)
-            return inputs, noises
-
-        monkeypatch.setattr(harness, "draw_signal_blocks", spoiled)
-
-    def test_nan_in_the_producer_names_realization_and_iteration(self, forks, monkeypatch):
-        import asdnlms.harness as harness
-
-        self.in_producer(monkeypatch, lambda inputs: inputs.__setitem__((0, 2, 30), np.nan))
-        cfg = self.config("as_censoring")
-        with pytest.raises(harness.NonFiniteStateError, match=(
-                f"{cfg.name()}, realization 0: network MSD is not finite at iteration "
-                f"{BLOCK + 30}")):
-            monte_carlo(cfg)
-        assert len(forks) == 1
-        no_child_left()
-
-    def test_producer_exception_is_raised_at_its_block(self, forks, monkeypatch):
-        import asdnlms.analysis as analysis
-
-        def fail(inputs):
-            raise ValueError("no block 1")
-
-        self.in_producer(monkeypatch, fail)
-        cost, blocks_done = analysis.network_op_cost, []
-
-        def counted(*args):
-            blocks_done.append(os.getpid())
-            return cost(*args)
-
-        monkeypatch.setattr(analysis, "network_op_cost", counted)
-        with pytest.raises(ValueError, match="no block 1"):
-            monte_carlo(self.config("probabilistic_transmission"))
-        assert blocks_done == [os.getpid()]  # block 0 ran here, block 1 raised
-        assert len(forks) == 1
-        no_child_left()
-
-    def test_interrupt_in_the_consumer_kills_the_producer(self, forks, monkeypatch):
-        import asdnlms.analysis as analysis
-
-        def interrupted(*args):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(analysis, "network_op_cost", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            monte_carlo(self.config("random_sampling"))
-        assert len(forks) == 1
-        no_child_left()
-
-    @counts_fds
-    def test_failed_fork_leaks_no_descriptor(self, monkeypatch):
-        _failed_fork_leaks_no_descriptor(monkeypatch, lambda: monte_carlo(self.config("full")))
 
 
 def _arrays(mat):

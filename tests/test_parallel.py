@@ -10,8 +10,8 @@ from asdnlms.parallel import _forked, _receive
                     reason="needs os.fork and os.waitid")
 @pytest.mark.parametrize("sent", [0, 1], ids=["before_its_first_send", "mid_stream"])
 def test_child_exits_at_its_next_send_once_the_parent_is_gone(sent, forks):
-    # a batch worker or a block producer whose parent has died: this process
-    # plays the parent, and closing its read end plays the death
+    # a batch worker whose parent has died: this process plays the parent,
+    # and closing its read end plays the death
     go_read, go = os.pipe()
 
     def body(send):

@@ -818,6 +818,136 @@ class TestForkedWorkers:
         _failed_fork_leaks_no_descriptor(monkeypatch, lambda: monte_carlo(cfgs[0], mat, groups[0]))
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
+class TestBlocksPreparedHere:
+    """One-row campaigns at 2 CPUs, on any host: the process that runs the
+    round prepares every block, and nothing forks."""
+
+    T = 2 * BLOCK + 44  # three blocks, the last one short
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        import asdnlms.harness as harness
+
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+
+    def config(self, kind):
+        return make_config(kind=kind, V=10, M=4, iterations=self.T, seed=6, flip=BLOCK + 7)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_row_matches_one_cpu(self, kind, forks, monkeypatch):
+        import asdnlms.harness as harness
+
+        cfg = self.config(kind)
+        mat = materialize(cfg)
+        got = monte_carlo(cfg, mat)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+        want = monte_carlo(cfg, mat)
+        assert not forks
+        for name in ("msd", "msd_db", "msd_db_smoothed") + COUNTERS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_rows_sharing_a_realization_match_single_runs(self, forks):
+        cfg = self.config("as_sampling")
+        mat = materialize(cfg)
+        pols = [cfg.policy, PolicyConfig(kind="random_sampling", V_s=3),
+                PolicyConfig(kind="full"), PolicyConfig(kind="as_censoring", beta=0.68,
+                                                        mu_s=0.1571)]
+        realizations = [0, 1, 0, 0]
+        batch = run_batch(cfg, realizations, mat, policies=pols)
+        for b, (pol, r) in enumerate(zip(pols, realizations)):
+            single = run_realization(replace(cfg, policy=pol), r, mat)
+            for name in SERIES:
+                assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), \
+                    (pol.kind, name)
+        assert not forks
+
+    def test_every_block_is_drawn_here(self, forks, monkeypatch):
+        import asdnlms.harness as harness
+
+        draw, calls = harness.draw_signal_blocks, []
+
+        def logged(env, streams, iterations):
+            calls.append((os.getpid(), iterations))
+            return draw(env, streams, iterations)
+
+        monkeypatch.setattr(harness, "draw_signal_blocks", logged)
+        monte_carlo(self.config("as_censoring"))
+        here = os.getpid()
+        assert calls == [(here, BLOCK), (here, BLOCK), (here, self.T - 2 * BLOCK)]
+        assert not forks
+
+    @staticmethod
+    def at_block_1(monkeypatch, spoil):
+        # spoil(inputs) at the second draw: block 1
+        import asdnlms.harness as harness
+
+        draw, calls = harness.draw_signal_blocks, []
+
+        def spoiled(env, streams, iterations):
+            inputs, noises = draw(env, streams, iterations)
+            calls.append(iterations)
+            if len(calls) == 2:
+                spoil(inputs)
+            return inputs, noises
+
+        monkeypatch.setattr(harness, "draw_signal_blocks", spoiled)
+
+    def test_nan_in_a_later_block_names_realization_and_iteration(self, forks, monkeypatch):
+        import asdnlms.harness as harness
+
+        self.at_block_1(monkeypatch, lambda inputs: inputs.__setitem__((0, 2, 30), np.nan))
+        cfg = self.config("as_censoring")
+        with pytest.raises(harness.NonFiniteStateError, match=(
+                f"{cfg.name()}, realization 0: network MSD is not finite at iteration "
+                f"{BLOCK + 30}")):
+            monte_carlo(cfg)
+        assert not forks
+
+    def test_exception_in_a_later_block_is_raised_at_that_block(self, forks, monkeypatch):
+        import asdnlms.analysis as analysis
+
+        def fail(inputs):
+            raise ValueError("no block 1")
+
+        self.at_block_1(monkeypatch, fail)
+        cost, blocks_done = analysis.network_op_cost, []
+
+        def counted(*args):
+            blocks_done.append(os.getpid())
+            return cost(*args)
+
+        monkeypatch.setattr(analysis, "network_op_cost", counted)
+        with pytest.raises(ValueError, match="no block 1"):
+            monte_carlo(self.config("probabilistic_transmission"))
+        assert blocks_done == [os.getpid()]  # block 0 ran here, block 1 raised
+        assert not forks
+
+    def test_interrupted_campaign_leaves_the_next_one_unchanged(self, forks, monkeypatch):
+        # an interrupt at block 1 leaves no state that a later campaign reads
+        import asdnlms.analysis as analysis
+
+        cfg = self.config("random_sampling")
+        mat = materialize(cfg)
+        want = monte_carlo(cfg, mat)
+        cost, calls = analysis.network_op_cost, []
+
+        def interrupted(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return cost(*args)
+
+        monkeypatch.setattr(analysis, "network_op_cost", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo(cfg, mat)
+        monkeypatch.setattr(analysis, "network_op_cost", cost)
+        got = monte_carlo(cfg, mat)
+        assert not forks
+        for name in ("msd", "msd_db", "msd_db_smoothed") + COUNTERS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def _arrays(mat):
     """Copies of every array a Materialized holds."""
     env = mat.env

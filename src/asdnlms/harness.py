@@ -3,19 +3,20 @@
 A realization runs the synchronous round for the configured number of
 iterations, as the list of steps :func:`run_batch` builds for its batch:
 
-    decide -> adapt -> [censor] -> transmit -> ACW -> combine -> update_alpha
+    decide -> adapt -> [censor] -> transmit -> [deliver] -> ACW -> combine
+           -> update_alpha
 
 decide and update_alpha when some row is adaptive, censor when some row
-censors; transmit, ACW (at the sampled receivers per node, at every slot
-per link) and combine take their per-node or per-link form.  The loop
-records each iteration's network MSD; the counters follow per block from
-the sampled-node bitmap, the operation counts through the :mod:`analysis`
-cost model.  Realizations are independent: a campaign runs the
-(variant, realization) rows of variants that share a network in batches of
-at most CHUNK rows on one engine path, one loop over (B, V, M) arrays each,
-run by this process and the forked workers of :mod:`parallel` on the CPUs it
-may use; aggregation is an element-wise mean per variant in realization
-order.
+censors, deliver when some row transmits each link with probability p; the
+ACW updates the variances at the sampled receivers of the links that
+delivered.  The loop records each iteration's network MSD; the counters
+follow per block from the sampled-node bitmap, the operation counts
+through the :mod:`analysis` cost model.  Realizations are independent: a
+campaign runs the (variant, realization) rows of variants that share a
+network in batches of at most CHUNK rows, one loop over (B, V, M) arrays
+each, run by this process and the forked workers of :mod:`parallel` on the
+CPUs it may use; aggregation is an element-wise mean per variant in
+realization order.
 
 All RNG use is keyed by (seed, realization, node, role) so different
 policies see identical signal streams — paired comparisons stay paired.
@@ -192,30 +193,34 @@ def run_batch(
     """Run seeded realizations side by side, on (B, V, M) state.
 
     Row b runs realization ``realizations[b]`` under ``policies[b]``, or
-    under ``cfg.policy`` when ``policies`` is None.  The rows are all per
-    link (``probabilistic_transmission``) or all per node (the other kinds,
-    in any mix), and their adaptive rows share one alpha_plus.  Rows of one
-    realization see the same signals.
+    under ``cfg.policy`` when ``policies`` is None.  The rows may be of any
+    mix of kinds, provided their adaptive rows share one alpha_plus.  Rows
+    of one realization see the same signals.
 
     A policy is row data fixed before the loop.  A (B, E) mask holds the
     links each row has (a ``non_cooperative`` row has only its self links),
     and the batch runs on the links some row has; a row gives a link it
     lacks weight 0 through the numerator of its inverse variance, so a
-    ``non_cooperative`` row's c_kk = inv / inv = 1 exactly.  A row's
-    sampler (alpha >= 0, a random V_s draw, or every node) fills its rows
-    of the sampled-node bitmap, and a non-adaptive row takes
-    mu_s = beta = 0 in the alpha update, so its alpha never moves.  The
-    counters follow once per block from the bitmap and the (B, V) node
-    degrees and comm units of each row's links; per link, the comms are
-    those the block drew.  A link communication is one active directed
+    ``non_cooperative`` row's c_kk = inv / inv = 1 exactly.  A
+    ``probabilistic_transmission`` row hears, at each iteration, its self
+    links and the links that delivered: the ACW updates only their
+    variances, and the combine gives every other link weight 0 the same
+    way, so at p = 0 the row is ``non_cooperative`` and at p = 1 ``full``,
+    bit for bit.  A row's sampler (alpha >= 0, a random V_s draw, or every
+    node) fills its rows of the sampled-node bitmap, and a non-adaptive row
+    takes mu_s = beta = 0 in the alpha update, so its alpha never moves.
+    The counters follow once per block from the bitmap and the (B, V) node
+    degrees and comm units of each row's links; a probabilistic row's comms
+    are those the block drew.  A link communication is one active directed
     link; a broadcast is one node that reaches at least one neighbor.
 
     The round is the batch's list of steps, each a closure over the
     workspace, built before the first block; a batch makes no call for a
-    kind it lacks.  The blocks of BLOCK iterations, with their signals and
-    masks, come from :func:`_prepared_blocks`, in the process that runs the
-    round.  Every block checks that the network MSD stayed finite and raises
-    :class:`NonFiniteStateError` otherwise.
+    kind it lacks, and one without a probabilistic row builds no
+    delivered-link mask.  The blocks of BLOCK iterations, with their
+    signals and masks, come from :func:`_prepared_blocks`, in the process
+    that runs the round.  Every block checks that the network MSD stayed
+    finite and raises :class:`NonFiniteStateError` otherwise.
     Every array the loop writes is allocated before the first block and
     written in place (``out=``); an iteration allocates only small arrays.
 
@@ -233,17 +238,15 @@ def run_batch(
     if len(pols) != B:
         raise ValueError("a batch needs one policy per row")
     kinds = [p.kind for p in pols]
-    if (len({k == "probabilistic_transmission" for k in kinds}) > 1
-            or len({p.alpha_plus for p in pols if p.kind in AS_KINDS}) > 1):
-        raise ValueError("a batch's rows must be all per-link or all per-node, and its "
-                         "adaptive rows must share one alpha_plus")
+    if len({p.alpha_plus for p in pols if p.kind in AS_KINDS}) > 1:
+        raise ValueError("a batch's adaptive rows must share one alpha_plus")
     for p in pols:
         p.validate_for(V)
 
-    per_link = kinds[0] == "probabilistic_transmission"
     # (B, 1) columns of the rows of each kind, fixed before the loop
     ad_col, rand_col, censor_col, lonely_col = (np.isin(kinds, ks)[:, None] for ks in (
         AS_KINDS, "random_sampling", "as_censoring", "non_cooperative"))
+    pt_rows = np.flatnonzero(np.isin(kinds, "probabilistic_transmission"))
     # (B, E) the links each row has, a non_cooperative row only its self links;
     # the batch runs on the links that some row has
     src_e, dst_e = top.edge_arrays()
@@ -251,22 +254,20 @@ def run_batch(
     used = has.any(axis=0)
     src_e, dst_e, has = src_e[used], dst_e[used], has[:, used]
     E = src_e.size
-    deg = np.bincount(dst_e, minlength=V)
     noself = src_e != dst_e
-    src_ns = src_e[noself]
     # (B, E) positions in flat (B * V) and (B * V * V) arrays: each link's
     # transmitter, its receiver, and its weight C[b, j, k]
     rows = np.arange(B)[:, None]
     src_rows, dst_rows = rows * V + src_e, rows * V + dst_e
-    jk = src_e * V + dst_e
-    jk_rows = rows * V * V + jk
+    jk_rows = rows * V * V + src_e * V + dst_e
     dst_flat = dst_rows.ravel()
     # (B, V) each row's node degrees, from the links it has, which its op counts read
     deg_r = np.bincount(dst_flat, weights=has.ravel(), minlength=B * V).astype(np.int64)
     deg_r = deg_r.reshape(B, V)
-
-    D = int(deg.max())
-    N = V * D if per_link else E  # the ACW terms: per link slot, or per link
+    # (B, V) the comms of a transmitting node: its out-links, or one broadcast
+    # if it has any
+    out_r = np.bincount(src_rows.ravel(), weights=(has & noself).ravel(), minlength=B * V)
+    unit_r = (out_r if cfg.comm_unit == "link" else out_r > 0).astype(np.int64).reshape(B, V)
 
     # (B, V, M) and contiguous, so the deviation W - w_opt is one contiguous call
     w_opt = np.broadcast_to(env.w_opt, (B, V, M)).copy()
@@ -283,16 +284,31 @@ def run_batch(
     e, g = np.empty((2, B, V))  # the error, and a scratch row per node
     g3 = g[:, :, None]
     # The ACW recursion sigma2 <- (1 - nu) sigma2 + nu ||x_j - w_k||^2 per link
-    # (or link slot) is coef . terms, one product per realization; the terms
-    # are x_j . w_k, ||x_j||^2, ||w_k||^2 and sigma2.  A product over the
-    # flattened batch would round a link's sum differently depending on where
-    # the link falls in the batch.
-    terms = np.zeros((4, B, N))  # a link slot's ||x_j||^2 is 0 before its first delivery
+    # is coef . terms, one product per realization; the terms are x_j . w_k,
+    # ||x_j||^2, ||w_k||^2 and sigma2.  A product over the flattened batch
+    # would round a link's sum differently depending on where the link falls
+    # in the batch.
+    terms = np.empty((4, B, E))
     S2e = terms[3]
     S2e[...] = 1.0
     coef = np.array([-2.0 * nu, nu, nu, 1.0 - nu])
     terms_b = terms.transpose(1, 0, 2)
-    inv, tmp = np.empty((2, B, N))
+    inv, tmp, c = np.empty((3, B, E))
+    inv_flat = inv.reshape(B * E)
+    s_dst = np.empty((B, E), dtype=bool)  # the sampled-node mask at each link's receiver
+    # the numerator of the inverse variances: 0 on the links a row does not
+    # have, so that a non_cooperative row's self link gets c_kk = inv / inv = 1
+    num = has.astype(float)
+    # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2, then ||w_k||^2,
+    # in one buffer, so that one take gathers each link's three terms
+    BVV = B * V * V
+    gram = np.empty(BVV + 2 * B * V)
+    G = gram[:BVV].reshape(B, V, V)
+    xx, ww = gram[BVV:].reshape(2, B, V)
+    gather = np.stack([jk_rows, BVV + src_rows, BVV + B * V + dst_rows])
+    C = np.zeros((B, V, V))
+    CT = C.transpose(0, 2, 1)
+    C_all, jk_all, c_all = C.reshape(-1), jk_rows.ravel(), c.reshape(-1)
 
     msd = np.empty((B, T))
     sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
@@ -313,113 +329,51 @@ def run_batch(
         np.multiply(g3, U, out=PSI)
         np.add(PSI, W, out=PSI)
 
-    if per_link:
-        # D slots per receiver: receiver k's links fill its first |N_k| slots in
-        # edge order (edges are grouped by receiver); a pad slot is never fresh,
-        # holds zeros and gets weight 0, so a graph with one hub pays for
-        # padding at every node
-        slot = dst_e * D + np.arange(E) - (np.cumsum(deg) - deg)[dst_e]
-        valid = np.zeros(N)
-        valid[slot] = 1.0
-        src_slot = np.zeros(N, dtype=np.int64)
-        src_slot[slot] = src_e
-        # per receiver and slot: psi_src as last received, and its squared norm;
-        # a fresh slot's row is refreshed as one (M * 8)-byte void item
-        cache = np.zeros((B, V, D, M))
-        row = np.dtype((np.void, M * cache.itemsize))
-        cache_rows, psi_rows = (a.reshape(-1, M).view(row)[:, 0] for a in (cache, PSI))
-        src_flat = (rows * V + src_slot).ravel()
-        xw = terms[0].reshape(B, V, D, 1)
-        xx_flat = terms[1].reshape(B * N)
-        ww_slots = terms[2].reshape(B, V, D)
-        W_col, W_row = W[:, :, :, None], W[:, :, None, :]
-        psi2, ww, colsum = np.empty((3, B, V))
-        psi2_flat, colsum3 = psi2.reshape(B * V), colsum[:, :, None]
-        inv_row, inv_slots = inv.reshape(B, V, 1, D), inv.reshape(B, V, D)
-        ones_D = np.ones(D)
-        links = (N, src_ns, slot[noself], slot[~noself])
+    def transmit():  # the Gram terms of every link, and the sampled mask at its receiver
+        np.vecdot(W, W, out=ww)
+        np.matmul(X, WT, out=G)
+        np.vecdot(X, X, out=xx)
+        gram.take(gather, out=terms[:3], mode="clip")
+        s.take(dst_e, axis=1, out=s_dst, mode="clip")
 
-        def transmit():  # refresh the fresh slots, then the ACW terms of every slot
-            fresh_rows = np.flatnonzero(inputs["fresh"][l])
-            fresh_src = src_flat.take(fresh_rows)
-            cache_rows[fresh_rows] = psi_rows.take(fresh_src)
-            np.vecdot(PSI, PSI, out=psi2)
-            xx_flat[fresh_rows] = psi2_flat.take(fresh_src)
-            np.matmul(cache, W_col, out=xw)
-            np.vecdot(W, W, out=ww)
-            np.copyto(ww_slots, ww[:, :, None])
+    def acw_sampled():  # sampled receivers only; an idle receiver's come out unchanged
+        np.matmul(coef, terms_b, out=tmp)
+        np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
+        np.putmask(S2e, s_dst, tmp)
 
-        def acw():  # every slot: a per-link row has no sampler
-            np.matmul(coef, terms_b, out=tmp)
-            np.maximum(tmp, SIGMA2_FLOOR, out=S2e)
+    def combine():  # the combination matrix C
+        np.divide(num, S2e, out=inv)
+        colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
+        np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
+        C_all[jk_all] = c_all
+        np.matmul(CT, X, out=W)
 
-        def combine():  # the weighted sum over a receiver's slots over the sum of its weights
-            np.divide(valid, S2e, out=inv)
-            np.matmul(inv_slots, ones_D, out=colsum)
-            np.matmul(inv_row, cache, out=W_row)
-            np.divide(W, colsum3, out=W)
+    steps = [adapt, transmit, acw_sampled, combine]
+    # every node combines the last psi each node transmitted: psi itself
+    # unless some row censors
+    X = PSI
+    if censor_col.any():
+        X = np.zeros((B, V, M))
+        tx, uncensored = np.empty((B, V), dtype=bool), ~censor_col
 
-        def count_comms():
-            comms[blk] = inputs["comms"][:, :L]
+        def censor():  # a censoring row transmits where it samples, any other everywhere
+            np.copyto(X, PSI, where=np.logical_or(s, uncensored, out=tx)[:, :, None])
 
-        steps = [adapt, transmit, acw, combine]
-    else:
-        c = np.empty((B, E))
-        inv_flat = inv.reshape(B * E)
-        s_dst = np.empty((B, E), dtype=bool)  # the sampled-node mask at each link's receiver
-        # the numerator of the inverse variances: 0 on the links a row does not
-        # have, so that a non_cooperative row's self link gets c_kk = inv / inv = 1
-        num = has.astype(float)
-        # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2, then ||w_k||^2,
-        # in one buffer, so that one take gathers each link's three terms
-        BVV = B * V * V
-        gram = np.empty(BVV + 2 * B * V)
-        G = gram[:BVV].reshape(B, V, V)
-        xx, ww = gram[BVV:].reshape(2, B, V)
-        gather = np.stack([jk_rows, BVV + src_rows, BVV + B * V + dst_rows])
-        C = np.zeros((B, V, V))
-        CT = C.transpose(0, 2, 1)
-        C_all, jk_all, c_all = C.reshape(-1), jk_rows.ravel(), c.reshape(-1)
-        # (B, V) the comms of a transmitting node: its out-links, or one
-        # broadcast if it has any
-        out_r = np.bincount(src_rows.ravel(), weights=(has & noself).ravel(), minlength=B * V)
-        unit_r = (out_r if cfg.comm_unit == "link" else out_r > 0).astype(np.int64).reshape(B, V)
-        links = None
+        steps.insert(1, censor)
+    if pt_rows.size:
+        # a probabilistic row hears only the links that delivered this
+        # iteration: the ACW updates their variances alone, and the combine
+        # gives every other link weight 0 through its numerator.  Such a row
+        # has every link, so the batch runs on the graph's links, which the
+        # delivered-link mask covers; it is true on every link of the other rows
+        has_num = num.copy()
 
-        def transmit():  # the Gram terms of every link
-            np.vecdot(W, W, out=ww)
-            np.matmul(X, WT, out=G)
-            np.vecdot(X, X, out=xx)
-            gram.take(gather, out=terms[:3], mode="clip")
+        def deliver():
+            fresh = inputs["fresh"][l]
+            np.logical_and(s_dst, fresh, out=s_dst)
+            np.multiply(has_num, fresh, out=num)
 
-        def acw_sampled():  # sampled receivers only; an idle receiver's come out unchanged
-            np.matmul(coef, terms_b, out=tmp)
-            np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
-            np.putmask(S2e, s.take(dst_e, axis=1, out=s_dst, mode="clip"), tmp)
-
-        def combine():  # the combination matrix C
-            np.divide(num, S2e, out=inv)
-            colsum = np.bincount(dst_flat, weights=inv_flat, minlength=B * V)
-            np.divide(inv, colsum.take(dst_rows, out=c, mode="clip"), out=c)
-            C_all[jk_all] = c_all
-            np.matmul(CT, X, out=W)
-
-        def count_comms():  # a node transmits iff it samples (censoring) or always
-            comms[blk] = np.where(censor_col, np.einsum("btv,bv->bt", bits, unit_r),
-                                  unit_r.sum(axis=1, keepdims=True))
-
-        steps = [adapt, transmit, acw_sampled, combine]
-        # every node combines the last psi each node transmitted: psi itself
-        # unless some row censors
-        X = PSI
-        if censor_col.any():
-            X = np.zeros((B, V, M))
-            tx, uncensored = np.empty((B, V), dtype=bool), ~censor_col
-
-            def censor():  # a censoring row transmits where it samples, any other everywhere
-                np.copyto(X, PSI, where=np.logical_or(s, uncensored, out=tx)[:, :, None])
-
-            steps.insert(1, censor)
+        steps.insert(steps.index(acw_sampled), deliver)
     if ad_col.any():
         # a non-adaptive row takes mu_s = beta = 0, so its alpha never moves
         alpha_plus = next(p.alpha_plus for p in pols if p.kind in AS_KINDS)
@@ -450,7 +404,7 @@ def run_batch(
 
         steps.append(record)
 
-    for n0, inputs in zip(range(0, T, BLOCK), _prepared_blocks(cfg, mat, rs, pols, links)):
+    for n0, inputs in zip(range(0, T, BLOCK), _prepared_blocks(cfg, mat, rs, pols)):
         L = min(BLOCK, T - n0)
         blk = np.s_[:, n0:n0 + L]
         taps, d_blk, mu_blk = inputs["taps"], inputs["d"], inputs["mu"]
@@ -479,7 +433,11 @@ def run_batch(
         sampled[blk] = np.count_nonzero(bits, axis=2)
         mults[blk], adds[blk] = analysis.network_op_cost(
             M, deg_r, sampled[blk], np.einsum("btv,bv->bt", bits, deg_r), ad_col)
-        count_comms()
+        # a node transmits iff it samples (censoring) or always; a
+        # probabilistic row counts the links it drew
+        comms[blk] = np.where(censor_col, np.einsum("btv,bv->bt", bits, unit_r),
+                              unit_r.sum(axis=1, keepdims=True))
+        comms[pt_rows, n0:n0 + L] = inputs["comms"][:, :L]
 
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)
@@ -495,17 +453,18 @@ def _link_comms(links: np.ndarray, src: np.ndarray, V: int, by_link: bool) -> np
     return np.count_nonzero(reached, axis=-1)
 
 
-def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols, links):
+def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols):
     """Yield the inputs of a batch's blocks, each block written into the same arrays.
 
     None of them reads the round's state.  Per row: the tap buffer (the
     block's inputs and the M-1 before, newest first), the references d and
     the step sizes mu, each drawn and windowed once per distinct realization
     and copied to the rows that share it; the sampled-node bitmap of each
-    random_sampling row; and per link (``links`` holds the link slot count,
-    the transmitter and the slot of each non-self link, and the self slots,
-    which are always fresh) the fresh-slot mask and the communications of
-    each iteration.  Every generator of the batch lives here, so its streams
+    random_sampling row; and the communications each probabilistic_transmission
+    row drew.  When the batch has such a row, also the (BLOCK, B, E)
+    delivered-link mask over every link of the graph: a probabilistic row's
+    draws on its non-self links, true on its self links and on every link of
+    the other rows.  Every generator of the batch lives here, so its streams
     are drawn in the same order wherever this runs.
     """
     top, env = mat.topology, mat.env
@@ -515,13 +474,14 @@ def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols, links):
     streams = signal_streams(cfg.seed, distinct, V)
     policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
     rand_rows = [b for b, p in enumerate(pols) if p.kind == "random_sampling"]
+    pt_rows = np.flatnonzero([p.kind == "probabilistic_transmission" for p in pols])
     out = {"taps": np.zeros((B, V, BLOCK + M - 1)), "d": np.zeros((B, V, BLOCK)),
-           "mu": np.zeros((B, V, BLOCK)), "bits": np.zeros((len(rand_rows), BLOCK, V), bool)}
-    if links is not None:
-        N, src_ns, slot_ns, slot_self = links
-        out["fresh"] = np.zeros((BLOCK, B, N), bool)
-        out["fresh"][:, :, slot_self] = True
-        out["comms"] = np.zeros((B, BLOCK), np.int64)
+           "mu": np.zeros((B, V, BLOCK)), "bits": np.zeros((len(rand_rows), BLOCK, V), bool),
+           "comms": np.zeros((len(pt_rows), BLOCK), np.int64)}
+    if pt_rows.size:
+        src_e, dst_e = top.edge_arrays()
+        ns = np.flatnonzero(src_e != dst_e)
+        out["fresh"] = np.ones((BLOCK, B, src_e.size), bool)
     taps = np.zeros((len(distinct), V, BLOCK + M - 1))
     for n0 in range(0, T, BLOCK):
         L = min(BLOCK, T - n0)
@@ -542,11 +502,11 @@ def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols, links):
         mu_blk.take(row_signal, axis=0, out=out["mu"][:, :, :L], mode="clip")
         for i, b in enumerate(rand_rows):
             out["bits"][i, :L] = draw_sampled_set(pols[b], V, policy_rngs[b], L)
-        if links is not None:
-            active = np.stack([draw_active_links(p.p, (L, src_ns.size), rng)
-                               for p, rng in zip(pols, policy_rngs)])
-            out["fresh"][:L, :, slot_ns] = active.transpose(1, 0, 2)
-            out["comms"][:, :L] = _link_comms(active, src_ns, V, cfg.comm_unit == "link")
+        if pt_rows.size:
+            active = np.stack([draw_active_links(pols[b].p, (L, ns.size), policy_rngs[b])
+                               for b in pt_rows])
+            out["fresh"][:L, pt_rows[:, None], ns] = active.transpose(1, 0, 2)
+            out["comms"][:, :L] = _link_comms(active, src_e[ns], V, cfg.comm_unit == "link")
         yield out
 
 
@@ -578,19 +538,17 @@ def _campaign_key(cfg: RunConfig) -> RunConfig:
 
 
 def _group_key(cfg: RunConfig) -> tuple:
-    """What the rows of one batch share: the campaign, the policy's engine path
-    (per link or per node) and alpha_plus, which a non-adaptive kind counts as
-    the default."""
-    pol = cfg.policy
-    return (_campaign_key(cfg), pol.kind == "probabilistic_transmission",
-            DEFAULT_ALPHA_PLUS if pol.alpha_plus is None else pol.alpha_plus)
+    """What the rows of one batch share: the campaign and alpha_plus, which a
+    non-adaptive kind counts as the default."""
+    alpha_plus = cfg.policy.alpha_plus
+    return _campaign_key(cfg), DEFAULT_ALPHA_PLUS if alpha_plus is None else alpha_plus
 
 
 def plan_batches(configs, cpus: int) -> list[list[tuple[int, int]]]:
     """A campaign's batches, each a list of (variant index, realization) rows.
 
-    The rows of the variants with one :func:`_group_key` run in variant-major
-    order, in batches of CHUNK, key after key in the order of their first
+    The rows of the variants with one :func:`_group_key`, whatever their
+    kinds, run in variant-major order, in batches of CHUNK, key after key in the order of their first
     variants.  While there are fewer batches than ``cpus``, the largest (the
     first of them) splits in halves, unless every batch has one row.
     """
@@ -615,11 +573,9 @@ class VariantGroup:
 
     The variants agree on everything except their label and their policy,
     so they share one network.  Rows are (variant, realization) pairs,
-    planned by :func:`plan_batches`: every per-node kind (full,
-    as_sampling, as_censoring, random_sampling, non_cooperative) may share
-    a batch, with any beta, mu_s and V_s, provided its adaptive rows share
-    an alpha_plus, while probabilistic_transmission rows, whatever their p,
-    run in batches of their own.  The batches run on :func:`usable_cpus`
+    planned by :func:`plan_batches`: rows of every kind may share a batch,
+    with any beta, mu_s, V_s and p, provided its adaptive rows share an
+    alpha_plus.  The batches run on :func:`usable_cpus`
     processes, this one and :func:`parallel._run_batches`'s forked workers,
     each of which prepares the blocks of the batches it runs.  This process
     adds each batch's rows in plan order, so each variant sums its own rows

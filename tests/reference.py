@@ -356,8 +356,6 @@ def reference_run(cfg, realization, mat):
     src_e, dst_e = top.edge_arrays()
     noself = src_e != dst_e
     links = list(zip(src_e[noself], dst_e[noself]))
-    # cache[k][j]: psi_j as last received at k; the self link is always fresh
-    cache = [{j: np.zeros(M) for j in neighbors[k]} for k in range(V)]
     inputs, noises = (a[0].T for a in draw_signal_blocks(
         env, signal_streams(cfg.seed, [realization], V), T))
     policy_rng = stream_rng(cfg.seed, realization, 0, ROLE_POLICY)
@@ -404,26 +402,26 @@ def reference_run(cfg, realization, mat):
                 adapt(ests[k], delay[k], None, 0)
             # censoring: psi untouched while idle
 
+        # heard[k][j]: the psi_j that k combines
         if kind == "probabilistic_transmission":
+            # k hears its own psi and the links that delivered this iteration
             act = draw_active_links(pol.p, len(links), policy_rng)
             sent = [link for link, on in zip(links, act) if on]
+            heard = [{k: ests[k].psi} for k in range(V)]
             for j, k in sent:
-                cache[k][j] = ests[j].psi
-            for k in range(V):
-                cache[k][k] = ests[k].psi
+                heard[k][j] = ests[j].psi
         else:
-            # censoring: an idle node's stale psi is what its neighbors hold
+            # censoring: an idle node's psi is untouched, so its neighbors
+            # hold the one it last transmitted
             sent = [] if kind == "non_cooperative" else [
                 (j, k) for j, k in links if s[j] or kind != "as_censoring"]
-            for k in range(V):
-                for j in neighbors[k]:
-                    cache[k][j] = ests[j].psi
+            heard = [{j: ests[j].psi for j in neighbors[k]} for k in range(V)]
         comms["link"][n] = len(sent)
         comms["broadcast"][n] = len({j for j, _ in sent})
         for k in range(V):
             if s[k]:
-                weights[k] = acw_update(ests[k], cache[k])
-        new_w = [combine(cache[k], weights[k]) for k in range(V)]
+                weights[k] = acw_update(ests[k], heard[k])
+        new_w = [combine(heard[k], weights[k]) for k in range(V)]
         for k in range(V):
             ests[k].w = new_w[k]
 

@@ -398,9 +398,8 @@ class TestCli:
         assert calls == labels
         assert results == [(label, label) for label in labels]
         assert batches and all(len(stack) == 1 for stack in batches)
-        # at one realization the per-node variants share one batch, and the
-        # per-link variant runs in its own
-        assert len(batches) == {"fig_msd_cost": 1, "fig_beta_sweep": 1, "fig_censoring": 2}[name]
+        # at one realization every variant of the preset shares one batch
+        assert len(batches) == 1
 
     def test_unwritable_out_dir_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -110,15 +110,15 @@ def nlms_steady_msd(mu_tilde, sigma2_v, sigma2_u, M: int) -> float:
 # --- operation-cost model ---------------------------------------------------
 
 
-def network_op_cost(M: int, deg, sampled, s_deg, mechanism):
-    """Per-iteration (multiplications, additions) summed over the nodes.
+def network_op_cost(M: int, V: int, D, sampled, s_deg, mechanism):
+    """Per-iteration (multiplications, additions) summed over the V nodes.
 
-    ``deg`` holds each |N_k| (self included) on its last axis, (V,) or per
-    row (..., V); ``sampled`` is sum_k s_k, ``s_deg`` is sum_k s_k |N_k| and
-    ``mechanism`` is true where AS-dNLMS samples, as scalars or arrays that
-    broadcast against ``deg``'s (..., 1) sums.  Per node k, the adapt
-    arithmetic is paid only while k samples and the combine term M |N_k|
-    always:
+    ``D`` is sum_k |N_k|, the links the nodes combine (self links included),
+    ``sampled`` is sum_k s_k, ``s_deg`` is sum_k s_k |N_k| and ``mechanism``
+    is true where AS-dNLMS samples; each a scalar or an array, per row or
+    per iteration, that broadcasts against the others.  Per node k, the
+    adapt arithmetic is paid only while k samples and the combine term
+    M |N_k| always:
 
         gated dNLMS   s_k (3M + 4) + M |N_k|    and  s_k (4M + 2) + M |N_k| - M + 1
         AS-dNLMS      the same, plus the sampling mechanism's
@@ -128,7 +128,6 @@ def network_op_cost(M: int, deg, sampled, s_deg, mechanism):
     M (3 + |N_k|) + 3.  The mechanism's neighbor term sums to s_deg over a
     symmetric graph.
     """
-    V, D = deg.shape[-1], deg.sum(axis=-1, keepdims=True)
     mults = (3 * M + 4) * sampled + M * D
     adds = (4 * M + 2) * sampled + M * D - M * V + V
     return mults + np.where(mechanism, s_deg + 2 * V, 0), adds + np.where(mechanism, D + V, 0)

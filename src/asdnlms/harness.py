@@ -25,13 +25,14 @@ policies see identical signal streams — paired comparisons stay paired.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, make_dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from asdnlms import analysis
-from asdnlms.config import RunConfig, check_config, check_node_profiles
+from asdnlms.config import EnvSpec, RunConfig, TopologySpec, check_config, check_node_profiles
 from asdnlms.network import (
     Topology,
     build_random_geometric,
@@ -76,21 +77,34 @@ class Materialized:
 def materialize(cfg: RunConfig) -> Materialized:
     """Build the shared, realization-independent state deterministically.
 
-    It makes every check of the config: :func:`check_config`, then, for an
-    edge-list topology, the node profiles against the graph its file
-    holds.  A config that cannot be built raises here, before any
-    realization runs.
+    It makes every check of the config on every call: :func:`check_config`,
+    then, for an edge-list topology, the node profiles against the graph its
+    file holds.  A config that cannot be built raises here, before any
+    realization runs.  A random geometric network is built once per process
+    for the last (seed, topology, env) asked for, so the variants of a
+    campaign and consecutive campaigns on one network share one
+    ``Materialized``; its arrays are read-only.  An edge-list file is read on
+    every call, since it may change between calls.
     """
     check_config(cfg)
-    t, e = cfg.topology, cfg.env
-    if t.kind == "edge_list":
-        top = load_edge_list(t.edge_list)
+    if cfg.topology.kind == "edge_list":
+        top = load_edge_list(cfg.topology.edge_list)
         check_node_profiles(cfg, top.node_count)
-    else:
-        top = build_random_geometric(t.V, t.radius, np.random.SeedSequence((cfg.seed, 1)))
-    V = top.node_count
+        return _materialized(top, cfg.seed, cfg.env)
+    return _random_geometric(cfg.seed, cfg.topology, cfg.env)
 
-    env_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
+
+@lru_cache(maxsize=1)
+def _random_geometric(seed: int, t: TopologySpec, e: EnvSpec) -> Materialized:
+    """The network of a random geometric config, keyed by all its build reads."""
+    top = build_random_geometric(t.V, t.radius, np.random.SeedSequence((seed, 1)))
+    return _materialized(top, seed, e)
+
+
+def _materialized(top: Topology, seed: int, e: EnvSpec) -> Materialized:
+    """The environment and step sizes drawn for ``top``, as read-only arrays."""
+    V = top.node_count
+    env_rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     w_opt = env_rng.uniform(-1.0, 1.0, size=e.M)
     if e.sigma2_v is not None:
         sigma2_v = np.asarray(e.sigma2_v, dtype=float)
@@ -106,8 +120,10 @@ def materialize(cfg: RunConfig) -> Materialized:
     if e.mu_tilde is not None:
         mu_tilde = np.asarray(e.mu_tilde, dtype=float)
     else:
-        mu_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3)))
+        mu_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
         mu_tilde = mu_rng.uniform(e.mu_tilde_min, e.mu_tilde_max, size=V)
+    for a in (env.w_opt, env.sigma2_v, env.sigma2_u, mu_tilde):
+        a.flags.writeable = False
     return Materialized(topology=top, env=env, mu_tilde=mu_tilde)
 
 
@@ -211,8 +227,9 @@ def run_batch(
     takes mu_s = beta = 0 in the alpha update, so its alpha never moves.
     The counters follow once per block from the bitmap and the (B, V) node
     degrees and comm units of each row's links; a probabilistic row's comms
-    are those the block drew.  A link communication is one active directed
-    link; a broadcast is one node that reaches at least one neighbor.
+    are those the block drew, and its combine costs count the links it
+    heard.  A link communication is one active directed link; a broadcast
+    is one node that reaches at least one neighbor.
 
     The round is the batch's list of steps, each a closure over the
     workspace, built before the first block; a batch makes no call for a
@@ -264,6 +281,9 @@ def run_batch(
     # (B, V) each row's node degrees, from the links it has, which its op counts read
     deg_r = np.bincount(dst_flat, weights=has.ravel(), minlength=B * V).astype(np.int64)
     deg_r = deg_r.reshape(B, V)
+    # (B, 1) the links each row combines, at an iteration of a probabilistic
+    # row only its self links and the links that delivered
+    links_r = deg_r.sum(axis=1, keepdims=True)
     # (B, V) the comms of a transmitting node: its out-links, or one broadcast
     # if it has any
     out_r = np.bincount(src_rows.ravel(), weights=(has & noself).ravel(), minlength=B * V)
@@ -431,8 +451,12 @@ def run_batch(
         # the block's counters, from its sampled nodes
         bits = bitmap[blk]
         sampled[blk] = np.count_nonzero(bits, axis=2)
+        links = links_r
+        if pt_rows.size:
+            links = links_r.repeat(L, axis=1)
+            links[pt_rows] = np.count_nonzero(inputs["fresh"][:L, pt_rows], axis=2).T
         mults[blk], adds[blk] = analysis.network_op_cost(
-            M, deg_r, sampled[blk], np.einsum("btv,bv->bt", bits, deg_r), ad_col)
+            M, V, links, sampled[blk], np.einsum("btv,bv->bt", bits, deg_r), ad_col)
         # a node transmits iff it samples (censoring) or always; a
         # probabilistic row counts the links it drew
         comms[blk] = np.where(censor_col, np.einsum("btv,bv->bt", bits, unit_r),

@@ -176,10 +176,11 @@ class TestOpCostModel:
         as_sum = [as_dnlms_op_cost(M, int(deg[k]), int(s[k]), int(s[A[:, k]].sum()))
                   for k in range(V)]
         gated_sum = [gated_dnlms_op_cost(M, int(deg[k]), int(s[k])) for k in range(V)]
-        assert network_op_cost(M, deg, S, s_deg, True) == tuple(map(sum, zip(*as_sum)))
-        assert network_op_cost(M, deg, S, s_deg, False) == tuple(map(sum, zip(*gated_sum)))
-        # per row: (B, V) degrees and a (B, 1) mechanism column give each row
-        # the model of its own degrees and mechanism
+        D = int(deg.sum())
+        assert network_op_cost(M, V, D, S, s_deg, True) == tuple(map(sum, zip(*as_sum)))
+        assert network_op_cost(M, V, D, S, s_deg, False) == tuple(map(sum, zip(*gated_sum)))
+        # per row: (B, 1) link sums and a (B, 1) mechanism column give each
+        # row the model of its own degrees and mechanism
         B = data.draw(st.integers(1, 4))
 
         def ints(hi, n):
@@ -188,8 +189,9 @@ class TestOpCostModel:
         degs = np.array([ints(V - 1, V) for _ in range(B)]) + 1
         S_col, s_deg_col = np.array(ints(V, B))[:, None], np.array(ints(V * V, B))[:, None]
         mech = np.array(data.draw(st.lists(st.booleans(), min_size=B, max_size=B)))[:, None]
-        per_row = np.stack(network_op_cost(M, degs, S_col, s_deg_col, mech), axis=1)
-        by_row = [network_op_cost(M, degs[b], S_col[b, 0], s_deg_col[b, 0], bool(mech[b, 0]))
+        D = degs.sum(axis=1, keepdims=True)
+        per_row = np.stack(network_op_cost(M, V, D, S_col, s_deg_col, mech), axis=1)
+        by_row = [network_op_cost(M, V, D[b], S_col[b, 0], s_deg_col[b, 0], bool(mech[b, 0]))
                   for b in range(B)]
         assert per_row.shape == (B, 2, 1)
         assert np.array_equal(per_row, np.array(by_row))

@@ -536,6 +536,26 @@ class TestCli:
         assert not (out / "as_sampling.csv").exists()
         no_child_left()
 
+    def test_preset_builds_its_network_once(self, tmp_path, monkeypatch):
+        # the variants of a preset share one network, built by the first materialize
+        import asdnlms.harness as harness
+
+        build, builds = harness.build_random_geometric, []
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(harness, "build_random_geometric", counting)
+        harness._random_geometric.cache_clear()
+        rc = main(["preset", "fig_censoring", "--seed", "5", "--realizations", "1",
+                   "--iterations", "60", "--out", str(tmp_path)])
+        assert rc == 0
+        configs = expand_preset("fig_censoring", seed=5, realizations=1, iterations=60)
+        assert len(configs) == 5 and len(builds) == 1
+        assert materialize(configs[0]) is materialize(configs[-1])
+        assert len(builds) == 1
+
     def test_edge_list_read_once_per_materialize(self, tmp_path, monkeypatch):
         import asdnlms.harness as harness
         from asdnlms.network import load_edge_list

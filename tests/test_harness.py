@@ -29,6 +29,7 @@ from asdnlms.harness import (
     write_csv,
     write_manifest,
 )
+from asdnlms.network import TopologyError
 from asdnlms.presets import expand_preset
 from asdnlms.sampling import PolicyConfig, phi_prime
 from conftest import make_config, no_child_left
@@ -139,8 +140,8 @@ class TestPolicyEquivalences:
         # every link delivers at every iteration
         for V, unit in self.CASES:
             pt, full = self.pair("probabilistic_transmission", "full", V, unit, p=1.0)
-            assert np.array_equal(pt.msd, full.msd)
-            assert np.array_equal(pt.comms, full.comms)
+            for name in ("msd", "comms", "mults", "adds"):
+                assert np.array_equal(getattr(pt, name), getattr(full, name)), (V, unit, name)
             assert pt.comms.any() == (V > 1)
 
     def test_pt_with_p_zero_matches_non_cooperative(self):
@@ -148,8 +149,8 @@ class TestPolicyEquivalences:
         for V, unit in self.CASES:
             pt, lonely = self.pair("probabilistic_transmission", "non_cooperative", V, unit,
                                    p=0.0)
-            assert np.array_equal(pt.msd, lonely.msd)
-            assert np.array_equal(pt.comms, lonely.comms)
+            for name in ("msd", "comms", "mults", "adds"):
+                assert np.array_equal(getattr(pt, name), getattr(lonely, name)), (V, unit, name)
             assert not pt.comms.any()
 
     @pytest.mark.parametrize("kind", ["as_sampling", "as_censoring"])
@@ -1022,6 +1023,65 @@ class TestMonteCarlo:
         cfg = make_config(kind="random_sampling", V=6, M=5, V_s=7)
         with pytest.raises(ValueError):
             materialize(cfg)
+
+
+class TestSharedNetwork:
+    """A random geometric network is built once per (seed, topology, env) and shared."""
+
+    @staticmethod
+    def same(a, b) -> bool:
+        return (a.topology == b.topology and a.env.flip_iteration == b.env.flip_iteration
+                and all(np.array_equal(x, y) for x, y in zip(_arrays(a).values(),
+                                                             _arrays(b).values())))
+
+    @staticmethod
+    def built(cfg):
+        """The network of ``cfg``, built afresh."""
+        import asdnlms.harness as harness
+
+        return harness._random_geometric.__wrapped__(cfg.seed, cfg.topology, cfg.env)
+
+    @pytest.mark.parametrize("change", [
+        lambda c: replace(c, env=replace(c.env, flip_iteration=40)),
+        lambda c: replace(c, seed=c.seed + 1),
+        lambda c: replace(c, topology=replace(c.topology, radius=0.9)),
+    ], ids=["flip_iteration", "seed", "radius"])
+    def test_configs_differing_in_what_the_build_reads_get_their_own(self, change):
+        base = make_config(kind="full", V=8, M=5, iterations=100, seed=11, radius=0.5)
+        other = change(base)
+        a, b = materialize(base), materialize(other)
+        assert a is not b and not self.same(a, b)
+        assert self.same(b, self.built(other))
+        assert self.same(materialize(base), self.built(base))
+        # what the build does not read is not in the key
+        variant = replace(other, policy=PolicyConfig(kind="non_cooperative"), label="lonely",
+                          iterations=90, realizations=3, comm_unit="broadcast")
+        assert materialize(variant) is materialize(other)
+
+    @pytest.mark.parametrize("sigma2_v", [None, (0.1, 0.2, 0.3, 0.4, 0.2, 0.1)])
+    def test_shared_arrays_are_read_only(self, sigma2_v):
+        mat = materialize(make_config(V=6, M=5, seed=11, sigma2_v=sigma2_v))
+        for a in (mat.env.w_opt, mat.env.sigma2_v, mat.env.sigma2_u, mat.mu_tilde):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+
+    def test_failing_build_raises_on_every_call(self, monkeypatch):
+        import asdnlms.harness as harness
+
+        build, builds = harness.build_random_geometric, []
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(harness, "build_random_geometric", counting)
+        cfg = make_config(V=30, M=5, radius=0.01)
+        for calls in (1, 2):
+            with pytest.raises(TopologyError, match="radius too small"):
+                materialize(cfg)
+            assert len(builds) == calls
 
 
 class TestOutputFiles:

@@ -4,14 +4,15 @@
 The set: the three presets at --seed 2 --realizations 3 --iterations 600;
 `asdnlms run` of all six policies in both comm units at R=1 and R=8
 (V=20, M=10, 600 iterations, flip at 300); and one realization each of
-as_censoring and probabilistic_transmission in the shape of perfbench's
-long_sparse_network (V=100, radius 0.18, M=10, 600 iterations, flip at
-300), the one-row campaigns with the largest blocks.  Each call runs
-in a fresh interpreter that imports `asdnlms` from PYTHONPATH, so the
-digests of two source trees are compared by running this script once with
-each tree's `src` on PYTHONPATH and diffing what it prints.  One line per
-output file, `sha256  relative/path`, sorted, then one line for the calls'
-stdout with the output directory replaced by OUT.
+as_censoring and probabilistic_transmission, the latter in both comm units,
+in the shape of perfbench's long_sparse_network (V=100, radius 0.18, M=10,
+600 iterations, flip at 300), the one-row campaigns with the largest
+blocks.  Each call runs in a fresh interpreter that imports `asdnlms` from
+PYTHONPATH, so the digests of two source trees are compared by running
+this script once with each tree's `src` on PYTHONPATH and diffing what it
+prints; CI diffs a run pinned to one CPU against a run on all CPUs.  One
+line per output file, `sha256  relative/path`, sorted, then one line for
+the calls' stdout with the output directory replaced by OUT.
 
 Usage:
     PYTHONPATH=src python scripts/output_digests.py OUT > digests.txt
@@ -57,10 +58,12 @@ def calls(out: Path, configs: Path):
                 path.write_text(RUN + f"policy.kind = {kind}\n{params}run.comm_unit = {unit}\n"
                                 f"run.realizations = {R}\nrun.label = {label}\n")
                 yield ["run", "--config", str(path), "--out", str(out / "run")]
-    for kind in ("as_censoring", "probabilistic_transmission"):
-        path = configs / f"sparse_{kind}.cfg"
-        path.write_text(SPARSE + f"policy.kind = {kind}\n{POLICIES[kind]}"
-                        f"run.realizations = 1\nrun.label = sparse_{kind}\n")
+    for kind, unit in (("as_censoring", "link"), ("probabilistic_transmission", "link"),
+                       ("probabilistic_transmission", "broadcast")):
+        label = f"sparse_{kind}" if unit == "link" else f"sparse_{kind}_{unit}"
+        path = configs / f"{label}.cfg"
+        path.write_text(SPARSE + f"policy.kind = {kind}\n{POLICIES[kind]}run.comm_unit = {unit}\n"
+                        f"run.realizations = 1\nrun.label = {label}\n")
         yield ["run", "--config", str(path), "--out", str(out / "run")]
 
 

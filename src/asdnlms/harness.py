@@ -56,8 +56,8 @@ from asdnlms.signals import (
     stream_rng,
 )
 
-# Inverse-variance floor: only ever reached when a neighbor's intermediate
-# estimate exactly equals the local combined estimate.
+# The floor of the ACW variances.  Noiseless runs reach it, as their link
+# distances go to 0 (or round below 0 in Gram form); no noisy run measured has.
 SIGMA2_FLOOR = 1e-12
 
 # The per-iteration counters of a run, in output order: sampled nodes,
@@ -231,6 +231,12 @@ def run_batch(
     heard.  A link communication is one active directed link; a broadcast
     is one node that reaches at least one neighbor.
 
+    The state is the weight error W - w_opt, from -w_opt (a zero estimate),
+    and e = v - u'(W - w_opt): a block carries the noise v, the MSD is
+    ||W - w_opt||^2 / V, and a flip adds 2 w_opt to every error once.  The
+    ACW distances do not change under the shift and round less in Gram form:
+    at V = 20, M = 50 by at most 2e-7 relative, against 6e-4 on estimates.
+
     The round is the batch's list of steps, each a closure over the
     workspace, built before the first block; a batch makes no call for a
     kind it lacks, and one without a probabilistic row builds no
@@ -289,18 +295,14 @@ def run_batch(
     out_r = np.bincount(src_rows.ravel(), weights=(has & noself).ravel(), minlength=B * V)
     unit_r = (out_r if cfg.comm_unit == "link" else out_r > 0).astype(np.int64).reshape(B, V)
 
-    # (B, V, M) and contiguous, so the deviation W - w_opt is one contiguous call
-    w_opt = np.broadcast_to(env.w_opt, (B, V, M)).copy()
-    flip_at = env.flip_iteration
-    nu = cfg.env.nu
+    flip_at, w_now, nu = env.flip_iteration, env.w_opt, cfg.env.nu  # w_now: w_opt at n
 
-    # the workspace; one W suffices, as nothing reads the old W once the
-    # combine has written the new one
-    W = np.zeros((B, V, M))
+    # the workspace; W holds the errors w_k - w_opt from the zero estimate (one W
+    # suffices: nothing reads the old W once the combine has written the new one)
+    W = np.broadcast_to(-w_now, (B, V, M)).copy()
+    W_flat = W.reshape(B, V * M)
     WT = W.transpose(0, 2, 1)
     PSI = np.empty((B, V, M))
-    dev = np.empty((B, V, M))
-    dev_flat = dev.reshape(B, V * M)
     e, g = np.empty((2, B, V))  # the error, and a scratch row per node
     g3 = g[:, :, None]
     # The ACW recursion sigma2 <- (1 - nu) sigma2 + nu ||x_j - w_k||^2 per link
@@ -340,10 +342,10 @@ def run_batch(
     # variables, and write through out=: an augmented assignment would make
     # the name local to the step.  Every take has valid indices; mode="clip"
     # spares the copy that "raise" makes of out.
-    def adapt():  # psi = w + (mu e s) u
+    def adapt():  # psi = w + (mu e s) u, where e = d - u'w = v - u'(w - w_opt)
         U = taps[:, :, L - 1 - l:L - 1 - l + M]
         np.vecdot(U, W, out=e)
-        np.subtract(d_blk[:, :, l], e, out=e)
+        np.subtract(v_blk[:, :, l], e, out=e)
         np.multiply(mu_blk[:, :, l], e, out=g)
         np.multiply(g, s, out=g)
         np.multiply(g3, U, out=PSI)
@@ -373,7 +375,7 @@ def run_batch(
     # unless some row censors
     X = PSI
     if censor_col.any():
-        X = np.zeros((B, V, M))
+        X = W.copy()  # the zero estimate
         tx, uncensored = np.empty((B, V), dtype=bool), ~censor_col
 
         def censor():  # a censoring row transmits where it samples, any other everywhere
@@ -420,26 +422,28 @@ def run_batch(
     states = np.empty((B, T, V, M)) if record_states else None
     if record_states:
         def record():
-            states[:, n] = W
+            np.add(W, w_now, out=states[:, n])
 
         steps.append(record)
 
     for n0, inputs in zip(range(0, T, BLOCK), _prepared_blocks(cfg, mat, rs, pols)):
         L = min(BLOCK, T - n0)
         blk = np.s_[:, n0:n0 + L]
-        taps, d_blk, mu_blk = inputs["taps"], inputs["d"], inputs["mu"]
+        taps, v_blk, mu_blk = inputs["taps"], inputs["v"], inputs["mu"]
         bitmap[rand_rows, n0:n0 + L] = inputs["bits"][:, :L]
 
         for l in range(L):
             n = n0 + l
-            if n == flip_at:
-                np.negative(w_opt, out=w_opt)
+            if n == flip_at:  # w_opt changes sign: every error gains 2 w_opt, once
+                W += 2.0 * w_now
+                if X is not PSI:
+                    X += 2.0 * w_now
+                w_now = -w_now
             s = bitmap[:, n]
             for step in steps:
                 step()
-            # the squared deviations, divided by V once per block
-            np.subtract(w_opt, W, out=dev)
-            np.vecdot(dev_flat, dev_flat, out=msd[:, n])
+            # the squared errors, divided by V once per block
+            np.vecdot(W_flat, W_flat, out=msd[:, n])
 
         msd[blk] /= V
         bad = ~np.isfinite(msd[blk])
@@ -480,49 +484,44 @@ def _link_comms(links: np.ndarray, src: np.ndarray, V: int, by_link: bool) -> np
 def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols):
     """Yield the inputs of a batch's blocks, each block written into the same arrays.
 
-    None of them reads the round's state.  Per row: the tap buffer (the
-    block's inputs and the M-1 before, newest first), the references d and
-    the step sizes mu, each drawn and windowed once per distinct realization
-    and copied to the rows that share it; the sampled-node bitmap of each
-    random_sampling row; and the communications each probabilistic_transmission
-    row drew.  When the batch has such a row, also the (BLOCK, B, E)
+    None of them reads the round's state, w_opt or the flip.  Per row: the
+    tap buffer (the block's inputs and the M-1 before, newest first), the
+    noise v and the step sizes mu, each drawn and windowed once per
+    distinct realization and copied to the rows that share it; the
+    sampled-node bitmap of each random_sampling row; and the communications
+    each probabilistic_transmission row drew.  When the batch has such a row, also the (BLOCK, B, E)
     delivered-link mask over every link of the graph: a probabilistic row's
     draws on its non-self links, true on its self links and on every link of
     the other rows.  Every generator of the batch lives here, so its streams
     are drawn in the same order wherever this runs.
     """
-    top, env = mat.topology, mat.env
-    B, V, M, T = len(rs), top.node_count, env.M, cfg.iterations
+    B, V, M, T = len(rs), mat.topology.node_count, cfg.env.M, cfg.iterations
     distinct = list(dict.fromkeys(rs))
     row_signal = np.array([distinct.index(r) for r in rs])
     streams = signal_streams(cfg.seed, distinct, V)
     policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
     rand_rows = [b for b, p in enumerate(pols) if p.kind == "random_sampling"]
     pt_rows = np.flatnonzero([p.kind == "probabilistic_transmission" for p in pols])
-    out = {"taps": np.zeros((B, V, BLOCK + M - 1)), "d": np.zeros((B, V, BLOCK)),
+    out = {"taps": np.zeros((B, V, BLOCK + M - 1)), "v": np.zeros((B, V, BLOCK)),
            "mu": np.zeros((B, V, BLOCK)), "bits": np.zeros((len(rand_rows), BLOCK, V), bool),
            "comms": np.zeros((len(pt_rows), BLOCK), np.int64)}
     if pt_rows.size:
-        src_e, dst_e = top.edge_arrays()
+        src_e, dst_e = mat.topology.edge_arrays()
         ns = np.flatnonzero(src_e != dst_e)
         out["fresh"] = np.ones((BLOCK, B, src_e.size), bool)
     taps = np.zeros((len(distinct), V, BLOCK + M - 1))
     for n0 in range(0, T, BLOCK):
         L = min(BLOCK, T - n0)
-        work, d_blk = draw_signal_blocks(env, streams, L)
+        work, v_blk = draw_signal_blocks(mat.env, streams, L)
         taps[:, :, L:L + M - 1] = taps[:, :, :M - 1]
         taps[:, :, :L] = work[:, :, ::-1]
         # window L-1-l is the regressor u(n) of iteration n = n0 + l
         win = sliding_window_view(taps[:, :, :L + M - 1], M, axis=2)
-        uw = np.vecdot(win, env.w_opt, out=work)[:, :, ::-1]
-        if env.flip_iteration is not None:
-            uw *= np.where(np.arange(n0, n0 + L) < env.flip_iteration, 1.0, -1.0)
-        d_blk += uw
         uu = np.vecdot(win, win, out=work)
         uu += cfg.env.delta
         mu_blk = np.divide(mat.mu_tilde[:, None], uu, out=uu)[:, :, ::-1]
         taps.take(row_signal, axis=0, out=out["taps"], mode="clip")
-        d_blk.take(row_signal, axis=0, out=out["d"][:, :, :L], mode="clip")
+        v_blk.take(row_signal, axis=0, out=out["v"][:, :, :L], mode="clip")
         mu_blk.take(row_signal, axis=0, out=out["mu"][:, :, :L], mode="clip")
         for i, b in enumerate(rand_rows):
             out["bits"][i, :L] = draw_sampled_set(pols[b], V, policy_rngs[b], L)

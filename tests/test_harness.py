@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asdnlms.config import ConfigError, TopologySpec
@@ -16,6 +16,8 @@ from asdnlms.harness import (
     COUNTERS,
     MonteCarloResult,
     VariantGroup,
+    _link_comms,
+    _prepared_blocks,
     group_variants,
     materialize,
     monte_carlo,
@@ -202,6 +204,23 @@ class TestCommAccounting:
         assert np.array_equal(series.comms, series.sampled_bitmap.sum(axis=1))
 
 
+class TestLinkComms:
+    """_link_comms against a count per transmitter, in both comm units."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(src=st.lists(st.integers(0, 7), max_size=30), p=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1), by_link=st.booleans())
+    @example(src=[], p=1.0, seed=0, by_link=False)  # a graph without links
+    def test_matches_a_count_per_transmitter(self, src, p, seed, by_link):
+        src = np.array(src, dtype=np.int64)
+        links = np.random.default_rng(seed).random((2, 5, src.size)) < p
+        got = _link_comms(links, src, 8, by_link)
+        assert got.shape == (2, 5)
+        for i in np.ndindex(2, 5):
+            active = src[links[i]]
+            assert got[i] == (active.size if by_link else len(set(active.tolist())))
+
+
 class TestCostAccounting:
     def test_as_sampling_matches_model_exactly(self):
         cfg = make_config(kind="as_sampling", V=8, M=10, iterations=300, seed=6)
@@ -362,6 +381,14 @@ class TestBatchEngine:
     def test_flip_at_block_start_matches_reference(self, kind):
         assert_matches_reference(make_config(kind=kind, V=4, M=3, iterations=2 * BLOCK + 5,
                                              seed=8, flip=BLOCK), realization=2)
+
+    def test_flip_shifts_what_idle_censoring_nodes_hold(self):
+        # no node samples at the flip, so every node's neighbors combine the psi
+        # it held from before the flip, which must move with w_opt
+        cfg = make_config(kind="as_censoring", V=6, M=4, iterations=300, seed=3, flip=200,
+                          mu_s=2.0)
+        assert not run_realization(cfg, 0).sampled_bitmap[200].any()
+        assert_matches_reference(cfg)
 
     def test_taps_carry_over_blocks_shorter_than_the_filter(self, monkeypatch):
         import asdnlms.harness as harness
@@ -970,6 +997,32 @@ class TestBlocksPreparedHere:
         assert not forks
         for name in ("msd", "msd_db", "msd_db_smoothed") + COUNTERS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestPreparedBlocks:
+    def test_blocks_read_neither_w_opt_nor_the_flip(self):
+        # the blocks hold the noise, not the reference, so the target and its
+        # flip live only in the round
+        cfg = make_config(kind="probabilistic_transmission", V=10, M=4,
+                          iterations=2 * BLOCK + 44, seed=6, flip=BLOCK + 7)
+        other = replace(cfg, env=replace(cfg.env, flip_iteration=None))
+        mat = materialize(cfg)
+        other_mat = replace(materialize(other), env=replace(
+            mat.env, w_opt=-mat.env.w_opt, flip_iteration=None))
+        rs = [0, 1, 0]
+        pols = [cfg.policy, PolicyConfig(kind="random_sampling", V_s=3),
+                PolicyConfig(kind="as_censoring", beta=0.68, mu_s=0.1571)]
+
+        def blocks(c, m):
+            return [{k: a.copy() for k, a in out.items()}
+                    for out in _prepared_blocks(c, m, rs, pols)]
+
+        got, want = blocks(other, other_mat), blocks(cfg, mat)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for k in w:
+                assert np.array_equal(g[k], w[k]), k
 
 
 def _arrays(mat):

@@ -239,11 +239,11 @@ def run_batch(
 
     The round is the batch's list of steps, each a closure over the
     workspace, built before the first block; a batch makes no call for a
-    kind it lacks, and one without a probabilistic row builds no
-    delivered-link mask.  The blocks of BLOCK iterations, with their
-    signals and masks, come from :func:`_prepared_blocks`, in the process
-    that runs the round.  Every block checks that the network MSD stayed
-    finite and raises :class:`NonFiniteStateError` otherwise.
+    kind it lacks, nor for a mask that is true everywhere.  The blocks of
+    BLOCK iterations come from :func:`_prepared_blocks`, in the process
+    that runs the round, in the same arrays, so each iteration's views are
+    built once.  Every block checks that the network MSD and the adaptive
+    rows' alpha stayed finite and raises :class:`NonFiniteStateError`.
     Every array the loop writes is allocated before the first block and
     written in place (``out=``); an iteration allocates only small arrays.
 
@@ -296,13 +296,18 @@ def run_batch(
     unit_r = (out_r if cfg.comm_unit == "link" else out_r > 0).astype(np.int64).reshape(B, V)
 
     flip_at, w_now, nu = env.flip_iteration, env.w_opt, cfg.env.nu  # w_now: w_opt at n
+    gated = (ad_col | rand_col).any()  # some row has a sampler; the others sample every node
+    # a censoring row transmits only a sampled node's psi, so only the others gate it
+    gated_psi = (rand_col | ad_col & ~censor_col).any()
 
     # the workspace; W holds the errors w_k - w_opt from the zero estimate (one W
-    # suffices: nothing reads the old W once the combine has written the new one)
-    W = np.broadcast_to(-w_now, (B, V, M)).copy()
+    # suffices: nothing reads the old W once the combine has written the new one),
+    # and X, the other half of XW, the psi each node combines
+    X, W = XW = np.empty((2, B, V, M))
+    W[...] = -w_now
     W_flat = W.reshape(B, V * M)
     WT = W.transpose(0, 2, 1)
-    PSI = np.empty((B, V, M))
+    PSI = X
     e, g = np.empty((2, B, V))  # the error, and a scratch row per node
     g3 = g[:, :, None]
     # The ACW recursion sigma2 <- (1 - nu) sigma2 + nu ||x_j - w_k||^2 per link
@@ -321,12 +326,12 @@ def run_batch(
     # the numerator of the inverse variances: 0 on the links a row does not
     # have, so that a non_cooperative row's self link gets c_kk = inv / inv = 1
     num = has.astype(float)
-    # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2, then ||w_k||^2,
-    # in one buffer, so that one take gathers each link's three terms
+    # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2 and ||w_k||^2, in
+    # one buffer, so that one take gathers each link's three terms
     BVV = B * V * V
     gram = np.empty(BVV + 2 * B * V)
     G = gram[:BVV].reshape(B, V, V)
-    xx, ww = gram[BVV:].reshape(2, B, V)
+    norms = gram[BVV:].reshape(2, B, V)
     gather = np.stack([jk_rows, BVV + src_rows, BVV + B * V + dst_rows])
     C = np.zeros((B, V, V))
     CT = C.transpose(0, 2, 1)
@@ -335,33 +340,41 @@ def run_batch(
     msd = np.empty((B, T))
     sampled, comms, mults, adds = np.empty((4, B, T), dtype=np.int64)
     bitmap = np.empty((B, T, V), dtype=bool)
-    bitmap[~(ad_col | rand_col)[:, 0]] = True  # the rows without a sampler
+    # a block's sampled nodes and MSDs, with iteration l's rows S[l] and msd_l[l]
+    sbuf, msd_blk = np.empty((B, BLOCK, V), dtype=bool), np.empty((BLOCK, B))
+    sbuf[~(ad_col | rand_col)[:, 0]] = True  # the rows without a sampler
+    S, msd_l = list(sbuf.transpose(1, 0, 2)), list(msd_blk)
     rand_rows = np.flatnonzero(rand_col)
 
-    # The steps read the loop's l and s and the block's inputs as free
-    # variables, and write through out=: an augmented assignment would make
-    # the name local to the step.  Every take has valid indices; mode="clip"
-    # spares the copy that "raise" makes of out.
+    # The steps read the loop's l and s and the per-iteration views of the
+    # block's inputs as free variables, and write through out=: an augmented
+    # assignment would make the name local to the step.  Every take has valid
+    # indices; mode="clip" spares the copy that "raise" makes of out.
     def adapt():  # psi = w + (mu e s) u, where e = d - u'w = v - u'(w - w_opt)
-        U = taps[:, :, L - 1 - l:L - 1 - l + M]
-        np.vecdot(U, W, out=e)
-        np.subtract(v_blk[:, :, l], e, out=e)
-        np.multiply(mu_blk[:, :, l], e, out=g)
-        np.multiply(g, s, out=g)
-        np.multiply(g3, U, out=PSI)
+        u = U[l]
+        np.vecdot(u, W, out=e)
+        np.subtract(v[l], e, out=e)
+        np.multiply(mu[l], e, out=g)
+        if gated_psi:
+            np.multiply(g, s, out=g)
+        np.multiply(g3, u, out=PSI)
         np.add(PSI, W, out=PSI)
 
     def transmit():  # the Gram terms of every link, and the sampled mask at its receiver
-        np.vecdot(W, W, out=ww)
         np.matmul(X, WT, out=G)
-        np.vecdot(X, X, out=xx)
+        np.vecdot(XW, XW, out=norms)
         gram.take(gather, out=terms[:3], mode="clip")
-        s.take(dst_e, axis=1, out=s_dst, mode="clip")
+        if gated:
+            s.take(dst_e, axis=1, out=s_dst, mode="clip")
 
-    def acw_sampled():  # sampled receivers only; an idle receiver's come out unchanged
+    def acw_sampled():  # the links heard at sampled receivers; the others come out unchanged
         np.matmul(coef, terms_b, out=tmp)
         np.maximum(tmp, SIGMA2_FLOOR, out=tmp)
-        np.putmask(S2e, s_dst, tmp)
+        np.putmask(S2e, s_dst if gated else fresh[l], tmp)
+
+    def acw_all():  # every receiver samples and hears every link
+        np.matmul(coef, terms_b, out=tmp)
+        np.maximum(tmp, SIGMA2_FLOOR, out=S2e)
 
     def combine():  # the combination matrix C
         np.divide(num, S2e, out=inv)
@@ -370,16 +383,18 @@ def run_batch(
         C_all[jk_all] = c_all
         np.matmul(CT, X, out=W)
 
-    steps = [adapt, transmit, acw_sampled, combine]
+    steps = [adapt, transmit, acw_sampled if gated or pt_rows.size else acw_all, combine]
     # every node combines the last psi each node transmitted: psi itself
     # unless some row censors
-    X = PSI
     if censor_col.any():
-        X = W.copy()  # the zero estimate
-        tx, uncensored = np.empty((B, V), dtype=bool), ~censor_col
+        PSI = np.empty((B, V, M))
+        X[...] = W  # the zero estimate
+        S3, every = [s_l[:, :, None] for s_l in S], censor_col.all()
+        tx, uncensored = np.empty((B, V, 1), dtype=bool), ~censor_col[:, :, None]
 
         def censor():  # a censoring row transmits where it samples, any other everywhere
-            np.copyto(X, PSI, where=np.logical_or(s, uncensored, out=tx)[:, :, None])
+            sent = S3[l] if every else np.logical_or(S3[l], uncensored, out=tx)
+            np.copyto(X, PSI, where=sent)
 
         steps.insert(1, censor)
     if pt_rows.size:
@@ -391,9 +406,9 @@ def run_batch(
         has_num = num.copy()
 
         def deliver():
-            fresh = inputs["fresh"][l]
-            np.logical_and(s_dst, fresh, out=s_dst)
-            np.multiply(has_num, fresh, out=num)
+            if gated:
+                np.logical_and(s_dst, fresh[l], out=s_dst)
+            np.multiply(has_num, fresh[l], out=num)
 
         steps.insert(steps.index(acw_sampled), deliver)
     if ad_col.any():
@@ -405,8 +420,12 @@ def run_batch(
         q0 = q[:, :, 0]
         mu_s, beta = (np.array([[getattr(p, k) or 0.0] for p in pols]) for k in ("mu_s", "beta"))
 
+        # a non-adaptive row's alpha stays at alpha_plus > 0, so it may write
+        # alpha >= 0 too, except a random_sampling row (where=True masks nothing)
+        decided = ad_col if rand_col.any() else True
+
         def decide():
-            np.greater_equal(alpha, 0, out=s, where=ad_col)
+            np.greater_equal(alpha, 0, out=s, where=decided)
 
         def update_alpha():  # from the squared-error caches
             np.putmask(eps2, s, np.multiply(e, e, out=g))
@@ -427,10 +446,13 @@ def run_batch(
         steps.append(record)
 
     for n0, inputs in zip(range(0, T, BLOCK), _prepared_blocks(cfg, mat, rs, pols)):
+        if n0 == 0:  # every block comes in the same arrays, so iteration l's views do too
+            U = list(np.moveaxis(sliding_window_view(inputs["taps"], M, axis=2)[:, :, ::-1], 2, 0))
+            v, mu = (list(np.moveaxis(inputs[k], 2, 0)) for k in ("v", "mu"))
+            fresh = list(inputs.get("fresh", ()))
         L = min(BLOCK, T - n0)
         blk = np.s_[:, n0:n0 + L]
-        taps, v_blk, mu_blk = inputs["taps"], inputs["v"], inputs["mu"]
-        bitmap[rand_rows, n0:n0 + L] = inputs["bits"][:, :L]
+        sbuf[rand_rows, :L] = inputs["bits"][:, :L]
 
         for l in range(L):
             n = n0 + l
@@ -439,21 +461,26 @@ def run_batch(
                 if X is not PSI:
                     X += 2.0 * w_now
                 w_now = -w_now
-            s = bitmap[:, n]
+            s = S[l]
             for step in steps:
                 step()
             # the squared errors, divided by V once per block
-            np.vecdot(W_flat, W_flat, out=msd[:, n])
+            np.vecdot(W_flat, W_flat, out=msd_l[l])
 
-        msd[blk] /= V
+        np.divide(msd_blk[:L].T, V, out=msd[blk])
+        bits = bitmap[blk] = sbuf[:, :L]
         bad = ~np.isfinite(msd[blk])
         if bad.any():
             b, l = np.argwhere(bad)[0]
             raise NonFiniteStateError(
                 f"realization {rs[b]}: network MSD is not finite at iteration {n0 + l}", b)
+        if ad_col.any():  # and the alpha of every adaptive row
+            bad = np.flatnonzero(ad_col[:, 0] & ~np.isfinite(alpha).all(axis=1))
+            if bad.size:
+                raise NonFiniteStateError(f"realization {rs[bad[0]]}: alpha is not finite "
+                                          f"at iteration {n0 + L - 1}", bad[0])
 
         # the block's counters, from its sampled nodes
-        bits = bitmap[blk]
         sampled[blk] = np.count_nonzero(bits, axis=2)
         links = links_r
         if pt_rows.size:
@@ -485,15 +512,18 @@ def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols):
     """Yield the inputs of a batch's blocks, each block written into the same arrays.
 
     None of them reads the round's state, w_opt or the flip.  Per row: the
-    tap buffer (the block's inputs and the M-1 before, newest first), the
-    noise v and the step sizes mu, each drawn and windowed once per
-    distinct realization and copied to the rows that share it; the
-    sampled-node bitmap of each random_sampling row; and the communications
-    each probabilistic_transmission row drew.  When the batch has such a row, also the (BLOCK, B, E)
-    delivered-link mask over every link of the graph: a probabilistic row's
-    draws on its non-self links, true on its self links and on every link of
-    the other rows.  Every generator of the batch lives here, so its streams
-    are drawn in the same order wherever this runs.
+    tap buffer, a block's L inputs at BLOCK-L to BLOCK and the M-1 before
+    at BLOCK to BLOCK+M-1, newest first, so that the regressor of iteration
+    l is the window at BLOCK-1-l in every block; the noise v and the step
+    sizes mu, each drawn and windowed once per distinct realization and
+    copied to the rows that share it; the sampled-node bitmap of each
+    random_sampling row; and the communications each
+    probabilistic_transmission row drew.  When the batch has such a row,
+    also the (BLOCK, B, E) delivered-link mask over every link of the
+    graph: a probabilistic row's draws on its non-self links, true on its
+    self links and on every link of the other rows.  Every generator of the
+    batch lives here, so its streams are drawn in the same order wherever
+    this runs.
     """
     B, V, M, T = len(rs), mat.topology.node_count, cfg.env.M, cfg.iterations
     distinct = list(dict.fromkeys(rs))
@@ -513,10 +543,10 @@ def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols):
     for n0 in range(0, T, BLOCK):
         L = min(BLOCK, T - n0)
         work, v_blk = draw_signal_blocks(mat.env, streams, L)
-        taps[:, :, L:L + M - 1] = taps[:, :, :M - 1]
-        taps[:, :, :L] = work[:, :, ::-1]
-        # window L-1-l is the regressor u(n) of iteration n = n0 + l
-        win = sliding_window_view(taps[:, :, :L + M - 1], M, axis=2)
+        taps[:, :, BLOCK:] = taps[:, :, :M - 1]  # every block before the last is full
+        taps[:, :, BLOCK - L:BLOCK] = work[:, :, ::-1]
+        # window BLOCK-1-l is the regressor u(n) of iteration n = n0 + l
+        win = sliding_window_view(taps[:, :, BLOCK - L:], M, axis=2)
         uu = np.vecdot(win, win, out=work)
         uu += cfg.env.delta
         mu_blk = np.divide(mat.mu_tilde[:, None], uu, out=uu)[:, :, ::-1]

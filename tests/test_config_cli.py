@@ -427,6 +427,20 @@ class TestCli:
         assert "realization 0: network MSD is not finite at iteration 30" in capsys.readouterr().err
         assert not (out / "as_sampling.csv").exists()
 
+    def test_non_finite_alpha_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # a NaN alpha stops its node from sampling while the MSD stays finite
+        import asdnlms.harness as harness
+
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(harness, "phi_prime", lambda alpha, alpha_plus: alpha * np.nan)
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert ("as_sampling, realization 0: alpha is not finite at iteration 119"
+                in capsys.readouterr().err)
+        assert not (out / "as_sampling.csv").exists()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="campaigns fork only where os.fork exists")
     @pytest.mark.parametrize("argv", [
         ["preset", "fig_censoring", "--realizations", "3", "--iterations", "200"],

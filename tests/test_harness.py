@@ -34,6 +34,7 @@ from asdnlms.harness import (
 from asdnlms.network import TopologyError
 from asdnlms.presets import expand_preset
 from asdnlms.sampling import PolicyConfig, phi_prime
+from asdnlms.signals import draw_signal_blocks, signal_streams
 from conftest import make_config, no_child_left
 from reference import (
     adjacency,
@@ -315,6 +316,26 @@ class TestAlphaUpdate:
         run_batch(cfg, [0] * len(kinds), policies=[make_config(kind=k, V=6).policy for k in kinds])
         assert calls == []
 
+    def test_non_finite_alpha_names_its_row_at_the_block_end(self, monkeypatch):
+        # a NaN alpha would stop its node from sampling while the MSD stays
+        # finite; the phi' of every row goes NaN, but only adaptive rows are named
+        import asdnlms.harness as harness
+
+        calls = []
+
+        def nan_from_iteration(alpha, alpha_plus):
+            calls.append(None)
+            slope = phi_prime(alpha, alpha_plus)
+            return slope * np.nan if len(calls) > BLOCK + 10 else slope
+
+        monkeypatch.setattr(harness, "phi_prime", nan_from_iteration)
+        cfg = make_config(kind="as_sampling", V=6, M=4, iterations=2 * BLOCK + 44, seed=3)
+        with pytest.raises(harness.NonFiniteStateError, match=(
+                f"^realization 1: alpha is not finite at iteration {2 * BLOCK - 1}$")) as exc:
+            run_batch(cfg, [0, 1], policies=[PolicyConfig(kind="full"), cfg.policy])
+        assert exc.value.row == 1
+        assert len(calls) == 2 * BLOCK  # raised at the end of the block where alpha went NaN
+
 
 KINDS = ["full", "as_sampling", "as_censoring", "random_sampling", "probabilistic_transmission",
          "non_cooperative"]
@@ -549,6 +570,31 @@ class TestGroupedRows:
             for name in SERIES:
                 assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), \
                     (pol.kind, r, name)
+
+    @pytest.mark.parametrize("kinds", [
+        ["full"], ["non_cooperative"], ["probabilistic_transmission"],
+        ["full", "probabilistic_transmission"], ["as_censoring", "as_censoring"],
+        ["as_censoring", "as_sampling"], ["as_sampling", "random_sampling"],
+        ["as_censoring", "probabilistic_transmission"]])
+    def test_each_step_form_matches_single_runs(self, kinds):
+        # a batch picks each step's form from its kinds (no sampler, no mask,
+        # every row censoring, ...), and a row alone may run another form
+        cfg = make_config(V=6, M=4, iterations=2 * BLOCK + 44, seed=9, flip=BLOCK + 7)
+        mat = materialize(cfg)
+        params = {"as_sampling": dict(beta=0.68, mu_s=2.0), "as_censoring": dict(beta=0.68, mu_s=2.0),
+                  "random_sampling": dict(V_s=3), "probabilistic_transmission": dict(p=0.5)}
+        rows = [(PolicyConfig(kind=k, **params.get(k, {})), r) for r in (0, 1) for k in kinds]
+        batch = run_batch(cfg, [r for _, r in rows], mat, policies=[p for p, _ in rows])
+        for b, (pol, r) in enumerate(rows):
+            # a row with a sampler leaves some node out, so its gate matters
+            sampler = pol.kind in ("as_sampling", "as_censoring", "random_sampling")
+            assert batch.sampled_bitmap[b].all() != sampler
+            single = run_realization(replace(cfg, policy=pol), r, mat)
+            for name in SERIES:
+                assert np.array_equal(getattr(batch, name)[b], getattr(single, name)), \
+                    (pol.kind, r, name)
+            if r == 0:  # a row alone may run the same wrong form
+                assert_matches_reference(replace(cfg, policy=pol))
 
     def test_beta_sweep_rows_match_single_runs(self):
         cfgs = expand_preset("fig_beta_sweep", seed=2, realizations=1, iterations=300)
@@ -1023,6 +1069,30 @@ class TestPreparedBlocks:
             assert g.keys() == w.keys()
             for k in w:
                 assert np.array_equal(g[k], w[k]), k
+
+    @pytest.mark.parametrize("block, M, T", [(BLOCK, 4, 2 * BLOCK - 1), (3, 7, 20)])
+    def test_window_of_iteration_l_is_its_regressor(self, block, M, T, monkeypatch):
+        # the round builds its per-iteration views from the first block: every
+        # block must come in the same arrays, with iteration l at the same place
+        import asdnlms.harness as harness
+
+        monkeypatch.setattr(harness, "BLOCK", block)
+        cfg = make_config(kind="random_sampling", V=5, M=M, iterations=T, seed=6)
+        mat = materialize(cfg)
+        rs = [1, 0, 1]
+        # each node's inputs u(n - M + 1), ..., u(n) at padded[:, n:n + M]
+        padded = {r: np.pad(draw_signal_blocks(mat.env, signal_streams(cfg.seed, [r], 5), T)[0][0],
+                            ((0, 0), (M - 1, 0))) for r in set(rs)}
+        first = None
+        for n0, out in zip(range(0, T, block), _prepared_blocks(cfg, mat, rs, [cfg.policy] * 3)):
+            first = first or dict(out)
+            assert all(out[k] is a for k, a in first.items()) and out.keys() == first.keys()
+            for l in range(min(block, T - n0)):
+                for b, r in enumerate(rs):
+                    u = padded[r][:, n0 + l:n0 + l + M][:, ::-1]  # the newest tap first
+                    assert np.array_equal(out["taps"][b, :, block - 1 - l:block - 1 + M - l], u)
+                    assert out["mu"][b, :, l] == pytest.approx(
+                        mat.mu_tilde / ((u * u).sum(axis=1) + cfg.env.delta), rel=1e-12)
 
 
 def _arrays(mat):

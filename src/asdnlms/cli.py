@@ -7,9 +7,9 @@ Subcommands:
     validate  check a config file and build its network, without running it
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error (an I/O
-failure, or a realization whose network MSD stopped being finite; no CSV is
-written then).  The ASDNLMS_OUT environment variable overrides the output
-directory.
+failure, or a realization whose network MSD or the alpha of one of its
+adaptive nodes stopped being finite; no CSV is written then).  The
+ASDNLMS_OUT environment variable overrides the output directory.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ iterations, as the list of steps :func:`run_batch` builds for its batch:
            -> update_alpha
 
 decide and update_alpha when some row is adaptive, censor when some row
-censors, deliver when some row transmits each link with probability p; the
+censors, deliver when some row hears through a delivered-link mask; the
 ACW updates the variances at the sampled receivers of the links that
 delivered.  The loop records each iteration's network MSD; the counters
 follow per block from the sampled-node bitmap, the operation counts
@@ -182,7 +182,7 @@ CHUNK = 8
 
 
 class NonFiniteStateError(RuntimeError):
-    """A realization's network MSD became NaN or infinite; ``row`` is its batch row."""
+    """A realization's network MSD or alpha became NaN or infinite; ``row`` is its batch row."""
 
     def __init__(self, message: str, row: int = 0):
         super().__init__(message)
@@ -213,23 +213,20 @@ def run_batch(
     mix of kinds, provided their adaptive rows share one alpha_plus.  Rows
     of one realization see the same signals.
 
-    A policy is row data fixed before the loop.  A (B, E) mask holds the
-    links each row has (a ``non_cooperative`` row has only its self links),
-    and the batch runs on the links some row has; a row gives a link it
-    lacks weight 0 through the numerator of its inverse variance, so a
-    ``non_cooperative`` row's c_kk = inv / inv = 1 exactly.  A
-    ``probabilistic_transmission`` row hears, at each iteration, its self
-    links and the links that delivered: the ACW updates only their
-    variances, and the combine gives every other link weight 0 the same
-    way, so at p = 0 the row is ``non_cooperative`` and at p = 1 ``full``,
-    bit for bit.  A row's sampler (alpha >= 0, a random V_s draw, or every
-    node) fills its rows of the sampled-node bitmap, and a non-adaptive row
-    takes mu_s = beta = 0 in the alpha update, so its alpha never moves.
-    The counters follow once per block from the bitmap and the (B, V) node
-    degrees and comm units of each row's links; a probabilistic row's comms
-    are those the block drew, and its combine costs count the links it
-    heard.  A link communication is one active directed link; a broadcast
-    is one node that reaches at least one neighbor.
+    A policy is row data fixed before the loop.  A masked row
+    (:func:`_batch_links`) hears, at each iteration, its self links and the
+    links its block's delivered-link mask holds: the ACW updates only their
+    variances, and the combine gives every other link weight 0 through the
+    numerator of its inverse variance.  So a ``non_cooperative`` row, whose
+    mask holds no link, has c_kk = inv / inv = 1 exactly, and a
+    ``probabilistic_transmission`` row is ``non_cooperative`` at p = 0 and
+    ``full`` at p = 1, bit for bit.  A row's sampler (alpha >= 0, a random
+    V_s draw, or every node) fills its rows of the sampled-node bitmap, and
+    a non-adaptive row takes mu_s = beta = 0 in the alpha update, so its
+    alpha never moves.  The counters follow once per block from the bitmap,
+    the (V,) node degrees and comm units over the batch's links, and the
+    links each masked row heard.  A link communication is one active
+    directed link; a broadcast is one node that reaches at least one neighbor.
 
     The state is the weight error W - w_opt, from -w_opt (a zero estimate),
     and e = v - u'(W - w_opt): a block carries the noise v, the MSD is
@@ -267,15 +264,9 @@ def run_batch(
         p.validate_for(V)
 
     # (B, 1) columns of the rows of each kind, fixed before the loop
-    ad_col, rand_col, censor_col, lonely_col = (np.isin(kinds, ks)[:, None] for ks in (
-        AS_KINDS, "random_sampling", "as_censoring", "non_cooperative"))
-    pt_rows = np.flatnonzero(np.isin(kinds, "probabilistic_transmission"))
-    # (B, E) the links each row has, a non_cooperative row only its self links;
-    # the batch runs on the links that some row has
-    src_e, dst_e = top.edge_arrays()
-    has = ~(lonely_col & (src_e != dst_e))
-    used = has.any(axis=0)
-    src_e, dst_e, has = src_e[used], dst_e[used], has[:, used]
+    ad_col, rand_col, censor_col = (np.isin(kinds, ks)[:, None] for ks in (
+        AS_KINDS, "random_sampling", "as_censoring"))
+    src_e, dst_e, masked = _batch_links(top, kinds)
     E = src_e.size
     noself = src_e != dst_e
     # (B, E) positions in flat (B * V) and (B * V * V) arrays: each link's
@@ -284,16 +275,11 @@ def run_batch(
     src_rows, dst_rows = rows * V + src_e, rows * V + dst_e
     jk_rows = rows * V * V + src_e * V + dst_e
     dst_flat = dst_rows.ravel()
-    # (B, V) each row's node degrees, from the links it has, which its op counts read
-    deg_r = np.bincount(dst_flat, weights=has.ravel(), minlength=B * V).astype(np.int64)
-    deg_r = deg_r.reshape(B, V)
-    # (B, 1) the links each row combines, at an iteration of a probabilistic
-    # row only its self links and the links that delivered
-    links_r = deg_r.sum(axis=1, keepdims=True)
-    # (B, V) the comms of a transmitting node: its out-links, or one broadcast
-    # if it has any
-    out_r = np.bincount(src_rows.ravel(), weights=(has & noself).ravel(), minlength=B * V)
-    unit_r = (out_r if cfg.comm_unit == "link" else out_r > 0).astype(np.int64).reshape(B, V)
+    # (V,) the node degrees over the batch's links, and the comms of a
+    # transmitting node: its out-links, or one broadcast if it has any
+    deg = np.bincount(dst_e, minlength=V)
+    out_deg = np.bincount(src_e[noself], minlength=V)
+    unit = out_deg if cfg.comm_unit == "link" else (out_deg > 0).astype(np.int64)
 
     flip_at, w_now, nu = env.flip_iteration, env.w_opt, cfg.env.nu  # w_now: w_opt at n
     gated = (ad_col | rand_col).any()  # some row has a sampler; the others sample every node
@@ -324,8 +310,8 @@ def run_batch(
     inv_flat = inv.reshape(B * E)
     s_dst = np.empty((B, E), dtype=bool)  # the sampled-node mask at each link's receiver
     # the numerator of the inverse variances: 0 on the links a row does not
-    # have, so that a non_cooperative row's self link gets c_kk = inv / inv = 1
-    num = has.astype(float)
+    # hear, so that a row that hears only its self link gets c_kk = inv / inv = 1
+    num = np.ones((B, E))
     # the Gram matrix G[b, j, k] = x_j . w_k, then ||x_j||^2 and ||w_k||^2, in
     # one buffer, so that one take gathers each link's three terms
     BVV = B * V * V
@@ -383,7 +369,7 @@ def run_batch(
         C_all[jk_all] = c_all
         np.matmul(CT, X, out=W)
 
-    steps = [adapt, transmit, acw_sampled if gated or pt_rows.size else acw_all, combine]
+    steps = [adapt, transmit, acw_sampled if gated or masked.size else acw_all, combine]
     # every node combines the last psi each node transmitted: psi itself
     # unless some row censors
     if censor_col.any():
@@ -397,18 +383,12 @@ def run_batch(
             np.copyto(X, PSI, where=sent)
 
         steps.insert(1, censor)
-    if pt_rows.size:
-        # a probabilistic row hears only the links that delivered this
-        # iteration: the ACW updates their variances alone, and the combine
-        # gives every other link weight 0 through its numerator.  Such a row
-        # has every link, so the batch runs on the graph's links, which the
-        # delivered-link mask covers; it is true on every link of the other rows
-        has_num = num.copy()
-
+    if masked.size:
+        # a masked row's ACW and combine hear only the links that delivered
         def deliver():
             if gated:
                 np.logical_and(s_dst, fresh[l], out=s_dst)
-            np.multiply(has_num, fresh[l], out=num)
+            np.copyto(num, fresh[l])
 
         steps.insert(steps.index(acw_sampled), deliver)
     if ad_col.any():
@@ -480,19 +460,18 @@ def run_batch(
                 raise NonFiniteStateError(f"realization {rs[bad[0]]}: alpha is not finite "
                                           f"at iteration {n0 + L - 1}", bad[0])
 
-        # the block's counters, from its sampled nodes
+        # the block's counters: a node transmits iff it samples (censoring) or
+        # always and combines every link, except in a masked row
         sampled[blk] = np.count_nonzero(bits, axis=2)
-        links = links_r
-        if pt_rows.size:
-            links = links_r.repeat(L, axis=1)
-            links[pt_rows] = np.count_nonzero(inputs["fresh"][:L, pt_rows], axis=2).T
+        links = np.full((B, L), E)
+        comms[blk] = np.where(censor_col, bits @ unit, unit.sum())
+        if masked.size:
+            heard = inputs["fresh"][:L, masked]
+            links[masked] = np.count_nonzero(heard, axis=2).T
+            comms[masked, n0:n0 + L] = _link_comms(heard[:, :, noself], src_e[noself], V,
+                                                   cfg.comm_unit == "link").T
         mults[blk], adds[blk] = analysis.network_op_cost(
-            M, V, links, sampled[blk], np.einsum("btv,bv->bt", bits, deg_r), ad_col)
-        # a node transmits iff it samples (censoring) or always; a
-        # probabilistic row counts the links it drew
-        comms[blk] = np.where(censor_col, np.einsum("btv,bv->bt", bits, unit_r),
-                              unit_r.sum(axis=1, keepdims=True))
-        comms[pt_rows, n0:n0 + L] = inputs["comms"][:, :L]
+            M, V, links, sampled[blk], bits @ deg, ad_col)
 
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)
@@ -508,6 +487,18 @@ def _link_comms(links: np.ndarray, src: np.ndarray, V: int, by_link: bool) -> np
     return np.count_nonzero(reached, axis=-1)
 
 
+def _batch_links(top: Topology, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (src, dst) links a batch runs on, and its rows that hear through a mask:
+    probabilistic_transmission and non_cooperative rows, except that a batch
+    of only non_cooperative rows runs on its self links, E = V, unmasked."""
+    src_e, dst_e = top.edge_arrays()
+    lonely = np.isin(kinds, "non_cooperative")
+    if lonely.all():
+        own = src_e == dst_e
+        return src_e[own], dst_e[own], np.flatnonzero([])
+    return src_e, dst_e, np.flatnonzero(lonely | np.isin(kinds, "probabilistic_transmission"))
+
+
 def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols):
     """Yield the inputs of a batch's blocks, each block written into the same arrays.
 
@@ -516,29 +507,29 @@ def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols):
     at BLOCK to BLOCK+M-1, newest first, so that the regressor of iteration
     l is the window at BLOCK-1-l in every block; the noise v and the step
     sizes mu, each drawn and windowed once per distinct realization and
-    copied to the rows that share it; the sampled-node bitmap of each
-    random_sampling row; and the communications each
-    probabilistic_transmission row drew.  When the batch has such a row,
-    also the (BLOCK, B, E) delivered-link mask over every link of the
-    graph: a probabilistic row's draws on its non-self links, true on its
-    self links and on every link of the other rows.  Every generator of the
-    batch lives here, so its streams are drawn in the same order wherever
-    this runs.
+    copied to the rows that share it; and the sampled-node bitmap of each
+    random_sampling row.  When the batch has a masked row, also the
+    (BLOCK, B, E) delivered-link mask over its links: true on every self
+    link and every link of an unmasked row, on the other links a
+    probabilistic_transmission row's draws, and false for a non_cooperative
+    row, which draws nothing.  Every generator of the batch lives here, so
+    its streams are drawn in the same order wherever this runs.
     """
     B, V, M, T = len(rs), mat.topology.node_count, cfg.env.M, cfg.iterations
     distinct = list(dict.fromkeys(rs))
     row_signal = np.array([distinct.index(r) for r in rs])
     streams = signal_streams(cfg.seed, distinct, V)
     policy_rngs = [stream_rng(cfg.seed, r, 0, ROLE_POLICY) for r in rs]
-    rand_rows = [b for b, p in enumerate(pols) if p.kind == "random_sampling"]
-    pt_rows = np.flatnonzero([p.kind == "probabilistic_transmission" for p in pols])
+    kinds = [p.kind for p in pols]
+    rand_rows = [b for b, k in enumerate(kinds) if k == "random_sampling"]
+    pt_rows = np.flatnonzero(np.isin(kinds, "probabilistic_transmission"))
     out = {"taps": np.zeros((B, V, BLOCK + M - 1)), "v": np.zeros((B, V, BLOCK)),
-           "mu": np.zeros((B, V, BLOCK)), "bits": np.zeros((len(rand_rows), BLOCK, V), bool),
-           "comms": np.zeros((len(pt_rows), BLOCK), np.int64)}
-    if pt_rows.size:
-        src_e, dst_e = mat.topology.edge_arrays()
-        ns = np.flatnonzero(src_e != dst_e)
+           "mu": np.zeros((B, V, BLOCK)), "bits": np.zeros((len(rand_rows), BLOCK, V), bool)}
+    src_e, dst_e, masked = _batch_links(mat.topology, kinds)
+    ns = np.flatnonzero(src_e != dst_e)
+    if masked.size:
         out["fresh"] = np.ones((BLOCK, B, src_e.size), bool)
+        out["fresh"][:, masked[:, None], ns] = False
     taps = np.zeros((len(distinct), V, BLOCK + M - 1))
     for n0 in range(0, T, BLOCK):
         L = min(BLOCK, T - n0)
@@ -559,7 +550,6 @@ def _prepared_blocks(cfg: RunConfig, mat: Materialized, rs, pols):
             active = np.stack([draw_active_links(pols[b].p, (L, ns.size), policy_rngs[b])
                                for b in pt_rows])
             out["fresh"][:L, pt_rows[:, None], ns] = active.transpose(1, 0, 2)
-            out["comms"][:, :L] = _link_comms(active, src_e[ns], V, cfg.comm_unit == "link")
         yield out
 
 
@@ -601,9 +591,10 @@ def plan_batches(configs, cpus: int) -> list[list[tuple[int, int]]]:
     """A campaign's batches, each a list of (variant index, realization) rows.
 
     The rows of the variants with one :func:`_group_key`, whatever their
-    kinds, run in variant-major order, in batches of CHUNK, key after key in the order of their first
-    variants.  While there are fewer batches than ``cpus``, the largest (the
-    first of them) splits in halves, unless every batch has one row.
+    kinds, run in variant-major order, in batches of CHUNK, key after key
+    in the order of their first variants.  While there are fewer batches
+    than ``cpus``, the largest (the first of them) splits in halves, unless
+    every batch has one row.
     """
     keyed: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(configs):

@@ -29,6 +29,8 @@ POLICY_KINDS = tuple(POLICY_PARAMS)
 AS_KINDS = ("as_sampling", "as_censoring")
 
 DEFAULT_ALPHA_PLUS = 4.0
+# the largest alpha_plus: cosh(alpha) in phi_prime overflows above about 710
+MAX_ALPHA_PLUS = 700.0
 
 
 def phi_prime(alpha, alpha_plus: float = DEFAULT_ALPHA_PLUS):
@@ -50,7 +52,7 @@ class PolicyConfig:
     """Which sampling/censoring strategy a run uses, plus its parameters.
 
     Parameters must be present exactly when POLICY_PARAMS lists them for
-    the kind; alpha_plus defaults to DEFAULT_ALPHA_PLUS.
+    the kind; alpha_plus defaults to DEFAULT_ALPHA_PLUS, at most MAX_ALPHA_PLUS.
     """
 
     kind: str
@@ -75,6 +77,8 @@ class PolicyConfig:
         if self.kind in AS_KINDS and not all(0 < v < math.inf
                                              for v in (self.beta, self.mu_s, self.alpha_plus)):
             raise ValueError("beta, mu_s and alpha_plus must be finite and > 0")
+        if self.kind in AS_KINDS and self.alpha_plus > MAX_ALPHA_PLUS:
+            raise ValueError(f"alpha_plus must be <= {MAX_ALPHA_PLUS:g}, got {self.alpha_plus:g}")
         if self.kind == "random_sampling" and self.V_s < 1:
             raise ValueError("V_s must be >= 1")
         if self.kind == "probabilistic_transmission" and not 0 <= self.p <= 1:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -237,6 +238,20 @@ class TestCli:
         assert rc == 1
         assert "run.seed must be >= 0, got -1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_validate_rejects_alpha_plus_above_the_bound(self, tmp_path, capsys):
+        # cosh(alpha) would overflow in the alpha update, with exit 0
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(GOOD_CONFIG, "policy.alpha_plus", "1e300"))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "alpha_plus must be <= 700" in capsys.readouterr().err
+
+    def test_run_at_the_largest_alpha_plus_warns_nothing(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(with_key(GOOD_CONFIG, "policy.alpha_plus", "700"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_validate_rejects_nan_radius_before_drawing_graphs(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -575,7 +575,8 @@ class TestGroupedRows:
         ["full"], ["non_cooperative"], ["probabilistic_transmission"],
         ["full", "probabilistic_transmission"], ["as_censoring", "as_censoring"],
         ["as_censoring", "as_sampling"], ["as_sampling", "random_sampling"],
-        ["as_censoring", "probabilistic_transmission"]])
+        ["as_censoring", "probabilistic_transmission"], ["full", "non_cooperative"],
+        ["as_censoring", "non_cooperative"]])
     def test_each_step_form_matches_single_runs(self, kinds):
         # a batch picks each step's form from its kinds (no sampler, no mask,
         # every row censoring, ...), and a row alone may run another form
@@ -1069,6 +1070,36 @@ class TestPreparedBlocks:
             assert g.keys() == w.keys()
             for k in w:
                 assert np.array_equal(g[k], w[k]), k
+
+    def test_only_non_cooperative_rows_run_on_self_links_without_a_mask(self, monkeypatch):
+        # beside another kind a non_cooperative row is a masked row that hears
+        # no neighbor; a batch of only such rows drops the neighbor links
+        import asdnlms.harness as harness
+
+        cfg = make_config(kind="non_cooperative", V=6, M=4, iterations=BLOCK + 5, seed=9)
+        mat = materialize(cfg)
+        lonely, full = cfg.policy, PolicyConfig(kind="full")
+        calls, batch_links = [], harness._batch_links
+
+        def spy(top, kinds):
+            calls.append(batch_links(top, kinds))
+            return calls[-1]
+
+        monkeypatch.setattr(harness, "_batch_links", spy)
+        run_batch(cfg, [0, 1], mat, policies=[lonely, lonely])
+        assert len(calls) == 2  # the round's and its blocks'
+        for src, dst, masked in calls:
+            assert np.array_equal(src, np.arange(6)) and np.array_equal(dst, src)
+            assert masked.size == 0
+        assert all("fresh" not in out for out in _prepared_blocks(cfg, mat, [0, 1],
+                                                                   [lonely, lonely]))
+
+        src, dst, masked = batch_links(mat.topology, ["full", "non_cooperative"])
+        assert src.size > 6 and masked.tolist() == [1]
+        for out in _prepared_blocks(cfg, mat, [0, 0], [full, lonely]):
+            assert out["fresh"][:, 0].all()
+            own = np.broadcast_to(src == dst, (BLOCK, src.size))
+            assert np.array_equal(out["fresh"][:, 1], own)
 
     @pytest.mark.parametrize("block, M, T", [(BLOCK, 4, 2 * BLOCK - 1), (3, 7, 20)])
     def test_window_of_iteration_l_is_its_regressor(self, block, M, T, monkeypatch):

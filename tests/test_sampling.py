@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asdnlms.harness import materialize, run_realization
-from asdnlms.sampling import PolicyConfig, draw_active_links, draw_sampled_set, phi_prime
+from asdnlms.sampling import (
+    MAX_ALPHA_PLUS,
+    PolicyConfig,
+    draw_active_links,
+    draw_sampled_set,
+    phi_prime,
+)
 from conftest import make_config
 from reference import SamplerState, decide, phi, update_alpha_value
 
@@ -164,6 +170,17 @@ class TestPolicyConfig:
     def test_alpha_plus_defaults_to_four(self):
         pol = PolicyConfig(kind="as_sampling", beta=0.68, mu_s=0.1571)
         assert pol.alpha_plus == 4.0
+
+    @pytest.mark.parametrize("kind", ["as_sampling", "as_censoring"])
+    def test_alpha_plus_above_the_bound_is_rejected(self, kind):
+        # cosh(alpha) in phi_prime overflows above about 710
+        assert np.isfinite(phi_prime(np.array([-MAX_ALPHA_PLUS, MAX_ALPHA_PLUS]),
+                                     MAX_ALPHA_PLUS)).all()
+        assert PolicyConfig(kind=kind, beta=0.68, mu_s=0.1571,
+                            alpha_plus=MAX_ALPHA_PLUS).alpha_plus == 700.0
+        for alpha_plus in (np.nextafter(MAX_ALPHA_PLUS, np.inf), 1e300):
+            with pytest.raises(ValueError, match="alpha_plus must be <= 700"):
+                PolicyConfig(kind=kind, beta=0.68, mu_s=0.1571, alpha_plus=alpha_plus)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown policy kind"):

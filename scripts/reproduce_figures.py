@@ -4,9 +4,10 @@
 Produces, per preset, one CSV per variant plus a manifest; the beta sweep
 also writes bounds.csv with the theoretical band next to the measured
 steady-state sampled count.  Full fidelity (100 realizations x 2e4
-iterations) took 6 min 52 s on a 2-core Xeon with one BLAS thread per
-process, its batches running on both cores (12.8 CPU-minutes);
---quick runs a reduced campaign for a fast look at the curve shapes.
+iterations) took 3 min 31 s on a 2-core Xeon with one BLAS thread per
+process, its batches running on both cores (6.5 CPU-minutes; python
+3.11.7, numpy 2.4.6, measured 2026-10-21); --quick runs a reduced
+campaign for a fast look at the curve shapes.
 
 Usage:
     python scripts/reproduce_figures.py [--out DIR] [--seed S] [--quick]

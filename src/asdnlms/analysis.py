@@ -1,8 +1,8 @@
-"""Closed-form steady-state predictions and the network operation-cost model.
+"""Closed-form steady-state predictions and the cost model of the round.
 
 Everything here is a pure function of (V, beta, sigma2_min, sigma2_max), of
-the per-node step-size and noise profiles, or of per-iteration sampling
-states.  The sampling step size mu_s is absent from every prediction by
+the per-node step-size and noise profiles, or of a block's sampled nodes
+and links.  The sampling step size mu_s is absent from every prediction by
 construction: the expected number of sampled nodes does not depend on it.
 """
 
@@ -107,27 +107,51 @@ def nlms_steady_msd(mu_tilde, sigma2_v, sigma2_u, M: int) -> float:
     return float(np.mean(msd))
 
 
-# --- operation-cost model ---------------------------------------------------
+# --- cost model --------------------------------------------------------------
 
 
-def network_op_cost(M: int, V: int, D, sampled, s_deg, mechanism):
-    """Per-iteration (multiplications, additions) summed over the V nodes.
+def block_costs(M: int, bits, src, dst, by_link: bool, censor, adaptive, heard=None):
+    """Per-iteration (sampled, comms, mults, adds) of a block, each (B, L) int64.
 
-    ``D`` is sum_k |N_k|, the links the nodes combine (self links included),
-    ``sampled`` is sum_k s_k, ``s_deg`` is sum_k s_k |N_k| and ``mechanism``
-    is true where AS-dNLMS samples; each a scalar or an array, per row or
-    per iteration, that broadcasts against the others.  Per node k, the
-    adapt arithmetic is paid only while k samples and the combine term
-    M |N_k| always:
+    ``bits`` is the (B, L, V) sampled-node bitmap, ``src`` and ``dst`` the
+    (E,) links the rows run on, self links included, and ``censor`` and
+    ``adaptive`` (B, 1) columns of the rows that censor and that run the
+    sampling mechanism.  ``heard`` is the (L, B, E) delivered-link mask, true
+    on every self link and every link of a censoring row, or None where every
+    row hears every link.  A row combines, at each iteration, the links it
+    heard.  A censoring row transmits over the non-self links of the nodes
+    it samples, any other row over the non-self links it heard: a link
+    communication is one such link (``by_link``), a broadcast one node that
+    reaches at least one neighbor.
 
-        gated dNLMS   s_k (3M + 4) + M |N_k|    and  s_k (4M + 2) + M |N_k| - M + 1
-        AS-dNLMS      the same, plus the sampling mechanism's
-                      sum_{i in N_k} s_i + 2    and  |N_k| + 1
+    Per node k, with n_k the links k combines, the adapt arithmetic is paid
+    only while k samples and the combine term M n_k always:
 
-    With every s_k = 1, gated dNLMS is plain dNLMS, M (3 + |N_k|) + 4 and
-    M (3 + |N_k|) + 3.  The mechanism's neighbor term sums to s_deg over a
-    symmetric graph.
+        gated dNLMS   s_k (3M + 4) + M n_k    and  s_k (4M + 2) + M n_k - M + 1
+        AS-dNLMS      the same plus the mechanism's sum_{i in N_k} s_i + 2  and  n_k + 1
+
+    With every s_k = 1, gated dNLMS is plain dNLMS, M (3 + n_k) + 4 and
+    M (3 + n_k) + 3.  Over a symmetric graph the neighbor term sums to
+    sum_k s_k |N_k|.
     """
-    mults = (3 * M + 4) * sampled + M * D
-    adds = (4 * M + 2) * sampled + M * D - M * V + V
-    return mults + np.where(mechanism, s_deg + 2 * V, 0), adds + np.where(mechanism, D + V, 0)
+    B, L, V = bits.shape
+    ns = src != dst
+    out_deg = np.bincount(src[ns], minlength=V)
+    unit = out_deg if by_link else np.minimum(out_deg, 1)
+    if heard is None:
+        D, sent = np.full((B, L), src.size), unit.sum()
+    else:
+        D = np.count_nonzero(heard, axis=2).T
+        if by_link:
+            sent = D - V
+        else:  # the non-self links grouped by source, one group per transmitter
+            order = np.flatnonzero(ns)[np.argsort(src[ns], kind="stable")]
+            starts = np.flatnonzero(np.diff(src[order], prepend=-1))
+            reached = np.logical_or.reduceat(heard.take(order, axis=2), starts, axis=2)
+            sent = np.count_nonzero(reached, axis=2).T
+    sampled = np.count_nonzero(bits, axis=2)
+    comms = np.where(censor, bits @ unit, sent)
+    s_deg = bits @ np.bincount(dst, minlength=V)
+    mults = (3 * M + 4) * sampled + M * D + np.where(adaptive, s_deg + 2 * V, 0)
+    adds = (4 * M + 2) * sampled + M * D - M * V + V + np.where(adaptive, D + V, 0)
+    return sampled, comms, mults, adds

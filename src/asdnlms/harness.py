@@ -9,9 +9,9 @@ iterations, as the list of steps :func:`run_batch` builds for its batch:
 decide and update_alpha when some row is adaptive, censor when some row
 censors, deliver when some row hears through a delivered-link mask; the
 ACW updates the variances at the sampled receivers of the links that
-delivered.  The loop records each iteration's network MSD; the counters
-follow per block from the sampled-node bitmap, the operation counts
-through the :mod:`analysis` cost model.  Realizations are independent: a
+delivered.  The loop records each iteration's network MSD; every counter
+follows per block from the sampled-node bitmap and the delivered links,
+through :func:`analysis.block_costs`.  Realizations are independent: a
 campaign runs the (variant, realization) rows of variants that share a
 network in batches of at most CHUNK rows, one loop over (B, V, M) arrays
 each, run by this process and the forked workers of :mod:`parallel` on the
@@ -223,10 +223,11 @@ def run_batch(
     ``full`` at p = 1, bit for bit.  A row's sampler (alpha >= 0, a random
     V_s draw, or every node) fills its rows of the sampled-node bitmap, and
     a non-adaptive row takes mu_s = beta = 0 in the alpha update, so its
-    alpha never moves.  The counters follow once per block from the bitmap,
-    the (V,) node degrees and comm units over the batch's links, and the
-    links each masked row heard.  A link communication is one active
-    directed link; a broadcast is one node that reaches at least one neighbor.
+    alpha never moves.  The counters come once per block from
+    :func:`analysis.block_costs`, over the bitmap, the batch's links and the
+    block's delivered-link mask: a link communication is one directed
+    neighbor link that carries an estimate, a broadcast one node that
+    reaches at least one neighbor.
 
     The state is the weight error W - w_opt, from -w_opt (a zero estimate),
     and e = v - u'(W - w_opt): a block carries the noise v, the MSD is
@@ -268,18 +269,12 @@ def run_batch(
         AS_KINDS, "random_sampling", "as_censoring"))
     src_e, dst_e, masked = _batch_links(top, kinds)
     E = src_e.size
-    noself = src_e != dst_e
     # (B, E) positions in flat (B * V) and (B * V * V) arrays: each link's
     # transmitter, its receiver, and its weight C[b, j, k]
     rows = np.arange(B)[:, None]
     src_rows, dst_rows = rows * V + src_e, rows * V + dst_e
     jk_rows = rows * V * V + src_e * V + dst_e
     dst_flat = dst_rows.ravel()
-    # (V,) the node degrees over the batch's links, and the comms of a
-    # transmitting node: its out-links, or one broadcast if it has any
-    deg = np.bincount(dst_e, minlength=V)
-    out_deg = np.bincount(src_e[noself], minlength=V)
-    unit = out_deg if cfg.comm_unit == "link" else (out_deg > 0).astype(np.int64)
 
     flip_at, w_now, nu = env.flip_iteration, env.w_opt, cfg.env.nu  # w_now: w_opt at n
     gated = (ad_col | rand_col).any()  # some row has a sampler; the others sample every node
@@ -460,31 +455,12 @@ def run_batch(
                 raise NonFiniteStateError(f"realization {rs[bad[0]]}: alpha is not finite "
                                           f"at iteration {n0 + L - 1}", bad[0])
 
-        # the block's counters: a node transmits iff it samples (censoring) or
-        # always and combines every link, except in a masked row
-        sampled[blk] = np.count_nonzero(bits, axis=2)
-        links = np.full((B, L), E)
-        comms[blk] = np.where(censor_col, bits @ unit, unit.sum())
-        if masked.size:
-            heard = inputs["fresh"][:L, masked]
-            links[masked] = np.count_nonzero(heard, axis=2).T
-            comms[masked, n0:n0 + L] = _link_comms(heard[:, :, noself], src_e[noself], V,
-                                                   cfg.comm_unit == "link").T
-        mults[blk], adds[blk] = analysis.network_op_cost(
-            M, V, links, sampled[blk], bits @ deg, ad_col)
+        sampled[blk], comms[blk], mults[blk], adds[blk] = analysis.block_costs(
+            M, bits, src_e, dst_e, cfg.comm_unit == "link", censor_col, ad_col,
+            inputs["fresh"][:L] if masked.size else None)
 
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
                      sampled_bitmap=bitmap, states=states)
-
-
-def _link_comms(links: np.ndarray, src: np.ndarray, V: int, by_link: bool) -> np.ndarray:
-    """Communications per iteration from (..., links) activations of the links from ``src``."""
-    if by_link:
-        return np.count_nonzero(links, axis=-1)
-    *lead, link = np.nonzero(links)
-    reached = np.zeros(links.shape[:-1] + (V,), dtype=bool)
-    reached[(*lead, src[link])] = True
-    return np.count_nonzero(reached, axis=-1)
 
 
 def _batch_links(top: Topology, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

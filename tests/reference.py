@@ -340,6 +340,46 @@ def gated_dnlms_op_cost(M: int, nk: int, s_k: int) -> tuple[int, int]:
     return s_k * (3 * M + 4) + M * nk, s_k * (4 * M + 2) + M * nk - M + 1
 
 
+def sent_links(kind: str, links, s, delivered=None) -> list[tuple[int, int]]:
+    """The neighbor links (j, k) of ``links`` that carry psi_j this iteration.
+
+    Every link under full and the sampling kinds, a sampled j's links under
+    censoring, none without cooperation, and under probabilistic
+    transmission the links whose ``delivered`` flag is set.
+    """
+    if kind == "probabilistic_transmission":
+        return [link for link, on in zip(links, delivered) if on]
+    if kind == "non_cooperative":
+        return []
+    return [(j, k) for j, k in links if s[j] or kind != "as_censoring"]
+
+
+def iteration_counts(kind: str, top: Topology, s, M: int, delivered=None) -> dict[str, int]:
+    """One iteration's counters of one realization, summed node by node.
+
+    ``s`` is the sampled-node vector and ``delivered`` flags each neighbor
+    link of ``top.edge_arrays()`` under probabilistic transmission.  Node k
+    combines its neighborhood, except that a probabilistic or
+    non-cooperative node combines its own psi and the links that reached it.
+    """
+    src, dst = top.edge_arrays()
+    links = [(int(j), int(k)) for j, k in zip(src, dst) if j != k]
+    sent = sent_links(kind, links, s, delivered)
+    counts = {"sampled": int(sum(s)), "link": len(sent), "broadcast": len({j for j, _ in sent}),
+              "mults": 0, "adds": 0}
+    for k, nbrs in enumerate(top.neighbors):
+        nk = len(nbrs)
+        if kind in ("probabilistic_transmission", "non_cooperative"):
+            nk = 1 + sum(dst_k == k for _, dst_k in sent)
+        if kind in AS_KINDS:
+            cost = as_dnlms_op_cost(M, nk, int(s[k]), int(sum(s[i] for i in nbrs)))
+        else:
+            cost = gated_dnlms_op_cost(M, nk, int(s[k]))
+        counts["mults"] += cost[0]
+        counts["adds"] += cost[1]
+    return counts
+
+
 # --- a whole realization ----------------------------------------------------------
 
 
@@ -405,16 +445,14 @@ def reference_run(cfg, realization, mat):
         # heard[k][j]: the psi_j that k combines
         if kind == "probabilistic_transmission":
             # k hears its own psi and the links that delivered this iteration
-            act = draw_active_links(pol.p, len(links), policy_rng)
-            sent = [link for link, on in zip(links, act) if on]
+            sent = sent_links(kind, links, s, draw_active_links(pol.p, len(links), policy_rng))
             heard = [{k: ests[k].psi} for k in range(V)]
             for j, k in sent:
                 heard[k][j] = ests[j].psi
         else:
             # censoring: an idle node's psi is untouched, so its neighbors
             # hold the one it last transmitted
-            sent = [] if kind == "non_cooperative" else [
-                (j, k) for j, k in links if s[j] or kind != "as_censoring"]
+            sent = sent_links(kind, links, s)
             heard = [{j: ests[j].psi for j in neighbors[k]} for k in range(V)]
         comms["link"][n] = len(sent)
         comms["broadcast"][n] = len({j for j, _ in sent})

@@ -3,19 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asdnlms.analysis import (
     beta_admissible,
+    block_costs,
     duty_cycle_estimate,
-    network_op_cost,
     nlms_steady_msd,
     predict,
     sampled_node_bounds,
     theta_bounds,
 )
-from reference import as_dnlms_op_cost, dnlms_op_cost, gated_dnlms_op_cost
+from asdnlms.network import Topology, build_random_geometric, load_edge_list
+from asdnlms.sampling import AS_KINDS
+from reference import as_dnlms_op_cost, dnlms_op_cost, gated_dnlms_op_cost, iteration_counts
 
 
 class TestBetaAdmissible:
@@ -172,29 +174,89 @@ class TestOpCostModel:
                 A[i, j] = A[j, i] = data.draw(st.booleans())
         s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=V, max_size=V)))
         deg = A.sum(axis=0)
-        S, s_deg = int(s.sum()), int(s @ deg)
         as_sum = [as_dnlms_op_cost(M, int(deg[k]), int(s[k]), int(s[A[:, k]].sum()))
                   for k in range(V)]
         gated_sum = [gated_dnlms_op_cost(M, int(deg[k]), int(s[k])) for k in range(V)]
-        D = int(deg.sum())
-        assert network_op_cost(M, V, D, S, s_deg, True) == tuple(map(sum, zip(*as_sum)))
-        assert network_op_cost(M, V, D, S, s_deg, False) == tuple(map(sum, zip(*gated_sum)))
-        # per row: (B, 1) link sums and a (B, 1) mechanism column give each
-        # row the model of its own degrees and mechanism
-        B = data.draw(st.integers(1, 4))
-
-        def ints(hi, n):
-            return data.draw(st.lists(st.integers(0, hi), min_size=n, max_size=n))
-
-        degs = np.array([ints(V - 1, V) for _ in range(B)]) + 1
-        S_col, s_deg_col = np.array(ints(V, B))[:, None], np.array(ints(V * V, B))[:, None]
+        src, dst = np.nonzero(A)
+        bits = s.astype(bool)[None, None]
+        for mech, want in ((True, as_sum), (False, gated_sum)):
+            _, _, mults, adds = block_costs(M, bits, src, dst, True, False, mech)
+            assert (mults[0, 0], adds[0, 0]) == tuple(map(sum, zip(*want)))
+        # per row: a (B, 1) mechanism column and each row's delivered-link
+        # mask give each row the model of its own links and mechanism
+        B, L = data.draw(st.integers(1, 4)), 3
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = rng.random((B, L, V)) < 0.5
+        heard = (rng.random((L, B, src.size)) < 0.5) | (src == dst)
         mech = np.array(data.draw(st.lists(st.booleans(), min_size=B, max_size=B)))[:, None]
-        D = degs.sum(axis=1, keepdims=True)
-        per_row = np.stack(network_op_cost(M, V, D, S_col, s_deg_col, mech), axis=1)
-        by_row = [network_op_cost(M, V, D[b], S_col[b, 0], s_deg_col[b, 0], bool(mech[b, 0]))
-                  for b in range(B)]
-        assert per_row.shape == (B, 2, 1)
-        assert np.array_equal(per_row, np.array(by_row))
+        for unit in (True, False):
+            per_row = block_costs(M, bits, src, dst, unit, False, mech, heard)
+            by_row = [block_costs(M, bits[b:b + 1], src, dst, unit, False, mech[b, 0],
+                                  heard[:, b:b + 1]) for b in range(B)]
+            assert np.array_equal(np.stack(per_row), np.concatenate(by_row, axis=1))
+
+
+def _star(tmp_path):
+    path = tmp_path / "star.edges"
+    path.write_text("6\n" + "".join(f"0 {k}\n" for k in range(1, 6)))
+    return load_edge_list(path)
+
+
+def _chain(tmp_path):
+    path = tmp_path / "chain.edges"
+    path.write_text("6\n" + "".join(f"{k} {k + 1}\n" for k in range(5)))
+    return load_edge_list(path)
+
+
+class TestBlockCosts:
+    """Every counter of :func:`block_costs` against a per-node count of each row."""
+
+    MIXED = ["as_censoring", "probabilistic_transmission", "non_cooperative", "full"]
+    UNMASKED = ["as_censoring", "as_sampling", "random_sampling", "full"]
+
+    @pytest.mark.parametrize("unit", ["link", "broadcast"])
+    @pytest.mark.parametrize("kinds", [MIXED, UNMASKED], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("graph", ["random_geometric", "one_node", "star", "chain"])
+    def test_matches_the_per_node_counts(self, graph, kinds, unit, tmp_path):
+        top = {"random_geometric": lambda: build_random_geometric(10, 0.5, np.random.SeedSequence(3)),
+               "one_node": lambda: Topology(((0,),)),
+               "star": lambda: _star(tmp_path), "chain": lambda: _chain(tmp_path)}[graph]()
+        src, dst = top.edge_arrays()
+        B, L, V, M = len(kinds), 7, top.node_count, 5
+        rng = np.random.default_rng(11)
+        sampling = np.isin(kinds, AS_KINDS + ("random_sampling",))
+        bits = (rng.random((B, L, V)) < 0.4) | ~sampling[:, None, None]
+        masked = np.isin(kinds, ["probabilistic_transmission", "non_cooperative"])
+        # true on self links and on every link of an unmasked row
+        heard = (rng.random((L, B, src.size)) < 0.5) | (src == dst) | ~masked[:, None]
+        heard[:, np.isin(kinds, "non_cooperative")] = src == dst
+        col = np.array([[k == "as_censoring"] for k in kinds]), np.isin(kinds, AS_KINDS)[:, None]
+        got = dict(zip(("sampled", unit, "mults", "adds"), block_costs(
+            M, bits, src, dst, unit == "link", *col, heard if masked.any() else None)))
+        ns = src != dst
+        for b, l in np.ndindex(B, L):
+            want = iteration_counts(kinds[b], top, bits[b, l].astype(int), M, heard[l, b, ns])
+            assert {k: got[k][b, l] for k in got} == {k: want[k] for k in got}, (b, l)
+
+    @settings(max_examples=80, deadline=None)
+    @given(src=st.lists(st.integers(0, 7), max_size=30), p=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2**32 - 1), by_link=st.booleans())
+    @example(src=[], p=1.0, seed=0, by_link=False)  # a graph without links
+    def test_comms_match_a_count_per_transmitter(self, src, p, seed, by_link):
+        # neighbor links from random sources, beside the 8 self links, in a random order
+        V, rng = 8, np.random.default_rng(seed)
+        src = np.array(src, dtype=np.int64)
+        dst = (src + rng.integers(1, V, size=src.size)) % V
+        order = rng.permutation(V + src.size)
+        src_e, dst_e = np.r_[np.arange(V), src][order], np.r_[np.arange(V), dst][order]
+        heard = (rng.random((5, 2, src_e.size)) < p) | (src_e == dst_e)
+        no = np.zeros((2, 1), bool)
+        _, comms, _, _ = block_costs(4, np.ones((2, 5, V), bool), src_e, dst_e, by_link, no, no,
+                                     heard)
+        assert comms.shape == (2, 5)
+        for b, l in np.ndindex(2, 5):
+            active = src_e[heard[l, b] & (src_e != dst_e)]
+            assert comms[b, l] == (active.size if by_link else len(set(active.tolist())))
 
 
 class TestPredict:

@@ -3,7 +3,9 @@
 
 The saved file can be referenced from a run config via
 `topology.kind = edge_list` / `topology.edge_list = <path>` so that a whole
-experiment series runs on one pinned graph.
+experiment series runs on one pinned graph.  The graph is the one that a
+random geometric config of the same V, radius and `run.seed` builds, so a
+run on the pinned file writes the same CSV as that config.
 
 Usage:
     python scripts/pin_topology.py --V 20 --radius 0.35 --seed 1 --out graph.edges
@@ -12,7 +14,10 @@ Usage:
 import argparse
 import sys
 
-from asdnlms.network import build_random_geometric, save_edge_list
+from asdnlms.config import EnvSpec, RunConfig, TopologySpec
+from asdnlms.harness import materialize
+from asdnlms.network import save_edge_list
+from asdnlms.sampling import PolicyConfig
 
 
 def main() -> int:
@@ -23,7 +28,9 @@ def main() -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
-    top = build_random_geometric(args.V, args.radius, args.seed)
+    cfg = RunConfig(TopologySpec(V=args.V, radius=args.radius), EnvSpec(),
+                    PolicyConfig(kind="full"), seed=args.seed)
+    top = materialize(cfg).topology
     save_edge_list(top, args.out)
     deg = top.degrees()
     print(f"wrote {args.out}: V={top.node_count}, "

@@ -20,8 +20,8 @@ def beta_admissible(beta: float, sigma2_max: float) -> bool:
     The boundary beta == sigma2_max is admissible: the sampled-node upper
     bound then equals the full node count.
     """
-    if beta <= 0 or sigma2_max <= 0:
-        raise ValueError("beta and sigma2_max must be > 0")
+    if not (0 < beta < math.inf and 0 < sigma2_max < math.inf):
+        raise ValueError(f"beta and sigma2_max must be finite and > 0, got {beta} and {sigma2_max}")
     return beta >= sigma2_max
 
 
@@ -37,8 +37,8 @@ def theta_bounds(beta: float, sigma2_min: float, sigma2_max: float) -> tuple[flo
     sampled at least once per cycle.  beta == sigma2_max yields
     theta_max = +inf (duty cycle 1).
     """
-    if sigma2_min <= 0:
-        raise ValueError("sigma2_min must be > 0")
+    if not sigma2_min > 0:
+        raise ValueError(f"sigma2_min must be > 0, got {sigma2_min}")
     if sigma2_max < sigma2_min:
         raise ValueError("sigma2_max must be >= sigma2_min")
     if not beta_admissible(beta, sigma2_max):
@@ -63,6 +63,8 @@ def duty_cycle_estimate(theta: float, theta_bar: float) -> float:
 
 def sampled_node_bounds(V: int, beta: float, sigma2_min: float, sigma2_max: float) -> tuple[float, float]:
     """Lower/upper bounds on the expected number of sampled nodes in steady state."""
+    if V < 1:
+        raise ValueError(f"V must be >= 1, got {V}")
     return V * sigma2_min / beta, V * sigma2_max / beta
 
 

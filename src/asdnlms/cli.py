@@ -95,8 +95,8 @@ def cmd_run(args) -> int:
 
 def cmd_preset(args) -> int:
     configs = expand_preset(args.name, seed=args.seed, realizations=args.realizations,
-                            out_dir=args.out, iterations=args.iterations)
-    out_dir = _out_dir(args.out, configs[0].out_dir or f"results/{args.name}")
+                            iterations=args.iterations)
+    out_dir = _out_dir(args.out, f"results/{args.name}")
 
     bounds_rows = []
     for cfg, group in zip(configs, group_variants(configs)):

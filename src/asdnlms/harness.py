@@ -4,14 +4,15 @@ A realization runs the synchronous round for the configured number of
 iterations, as the list of steps :func:`run_batch` builds for its batch:
 
     decide -> adapt -> [censor] -> transmit -> [deliver] -> ACW -> combine
-           -> update_alpha
+           -> update_alpha [-> observe]
 
 decide and update_alpha when some row is adaptive, censor when some row
-censors, deliver when some row hears through a delivered-link mask; the
-ACW updates the variances at the sampled receivers of the links that
-delivered.  The loop records each iteration's network MSD; every counter
-follows per block from the sampled-node bitmap and the delivered links,
-through :func:`analysis.block_costs`.  Realizations are independent: a
+censors, deliver when some row hears through a delivered-link mask,
+observe when the caller passes one; the ACW updates the variances at the
+sampled receivers of the links that delivered.  The loop records each
+iteration's network MSD; every counter follows per block from the
+sampled-node bitmap and the delivered links, through
+:func:`analysis.block_costs`.  Realizations are independent: a
 campaign runs the (variant, realization) rows of variants that share a
 network in batches of at most CHUNK rows, one loop over (B, V, M) arrays
 each, run by this process and the forked workers of :mod:`parallel` on the
@@ -163,11 +164,9 @@ class RunSeries:
     mults: np.ndarray
     adds: np.ndarray
     sampled_bitmap: np.ndarray  # (T, V) bool: which nodes sampled at each iteration
-    states: np.ndarray | None = None  # (T, V, M) combined estimates; debug runs only
 
     def realization(self, b: int) -> RunSeries:
-        return RunSeries(**{f.name: None if getattr(self, f.name) is None
-                            else getattr(self, f.name)[b] for f in fields(self)})
+        return RunSeries(**{f.name: getattr(self, f.name)[b] for f in fields(self)})
 
 
 # --- realization engine ------------------------------------------------------
@@ -189,22 +188,17 @@ class NonFiniteStateError(RuntimeError):
         self.row = row
 
 
-def run_realization(
-    cfg: RunConfig,
-    realization: int,
-    mat: Materialized | None = None,
-    record_states: bool = False,
-) -> RunSeries:
+def run_realization(cfg: RunConfig, realization: int, mat: Materialized | None = None) -> RunSeries:
     """Run one seeded realization: :func:`run_batch` on a batch of one."""
-    return run_batch(cfg, [realization], mat, record_states).realization(0)
+    return run_batch(cfg, [realization], mat).realization(0)
 
 
 def run_batch(
     cfg: RunConfig,
     realizations,
     mat: Materialized | None = None,
-    record_states: bool = False,
     policies=None,
+    observe=None,
 ) -> RunSeries:
     """Run seeded realizations side by side, on (B, V, M) state.
 
@@ -235,20 +229,21 @@ def run_batch(
     ACW distances do not change under the shift and round less in Gram form:
     at V = 20, M = 50 by at most 2e-7 relative, against 6e-4 on estimates.
 
-    The round is the batch's list of steps, each a closure over the
-    workspace, built before the first block; a batch makes no call for a
-    kind it lacks, nor for a mask that is true everywhere.  The blocks of
-    BLOCK iterations come from :func:`_prepared_blocks`, in the process
-    that runs the round, in the same arrays, so each iteration's views are
-    built once.  Every block checks that the network MSD and the adaptive
-    rows' alpha stayed finite and raises :class:`NonFiniteStateError`.
+    The round is the batch's list of steps in round order, each a closure
+    over the workspace, built before the first block; a batch makes no call
+    for a kind it lacks, nor for a mask that is true everywhere.  When
+    ``observe`` is given, a last step calls ``observe(n, W)`` with the
+    (B, V, M) weight errors after iteration n, which it must not write.  The
+    blocks of BLOCK iterations come from :func:`_prepared_blocks`, in the
+    process that runs the round, in the same arrays, so each iteration's
+    views are built once.  Every block checks that the network MSD and the
+    adaptive rows' alpha stayed finite and raises :class:`NonFiniteStateError`.
     Every array the loop writes is allocated before the first block and
     written in place (``out=``); an iteration allocates only small arrays.
 
     Deterministic: a realization's series is the same, bit for bit, in
     whichever batch it runs.  ``mat`` may be passed to share the
-    materialized network; it is never mutated.  ``record_states`` keeps the
-    full (B, T, V, M) estimate trajectory, a debugging aid for short runs.
+    materialized network; it is never mutated.
     """
     if mat is None:
         mat = materialize(cfg)
@@ -364,7 +359,8 @@ def run_batch(
         C_all[jk_all] = c_all
         np.matmul(CT, X, out=W)
 
-    steps = [adapt, transmit, acw_sampled if gated or masked.size else acw_all, combine]
+    # the steps a batch may not need stay None and drop out of its list
+    decide = censor = deliver = update_alpha = None
     # every node combines the last psi each node transmitted: psi itself
     # unless some row censors
     if censor_col.any():
@@ -377,7 +373,6 @@ def run_batch(
             sent = S3[l] if every else np.logical_or(S3[l], uncensored, out=tx)
             np.copyto(X, PSI, where=sent)
 
-        steps.insert(1, censor)
     if masked.size:
         # a masked row's ACW and combine hear only the links that delivered
         def deliver():
@@ -385,7 +380,6 @@ def run_batch(
                 np.logical_and(s_dst, fresh[l], out=s_dst)
             np.copyto(num, fresh[l])
 
-        steps.insert(steps.index(acw_sampled), deliver)
     if ad_col.any():
         # a non-adaptive row takes mu_s = beta = 0, so its alpha never moves
         alpha_plus = next(p.alpha_plus for p in pols if p.kind in AS_KINDS)
@@ -412,13 +406,10 @@ def run_batch(
             np.maximum(alpha, -alpha_plus, out=alpha)
             np.minimum(alpha, alpha_plus, out=alpha)
 
-        steps = [decide, *steps, update_alpha]
-    states = np.empty((B, T, V, M)) if record_states else None
-    if record_states:
-        def record():
-            np.add(W, w_now, out=states[:, n])
-
-        steps.append(record)
+    acw = acw_sampled if gated or masked.size else acw_all
+    observed = None if observe is None else lambda: observe(n, W)
+    steps = [step for step in (decide, adapt, censor, transmit, deliver, acw, combine,
+                               update_alpha, observed) if step]
 
     for n0, inputs in zip(range(0, T, BLOCK), _prepared_blocks(cfg, mat, rs, pols)):
         if n0 == 0:  # every block comes in the same arrays, so iteration l's views do too
@@ -460,7 +451,7 @@ def run_batch(
             inputs["fresh"][:L] if masked.size else None)
 
     return RunSeries(msd=msd, sampled=sampled, comms=comms, mults=mults, adds=adds,
-                     sampled_bitmap=bitmap, states=states)
+                     sampled_bitmap=bitmap)
 
 
 def _batch_links(top: Topology, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -48,7 +48,6 @@ PRESET_NAMES = tuple(PRESETS)
 
 
 def expand_preset(name: str, seed: int = 1, realizations: int = RunConfig.realizations,
-                  out_dir: str | None = None,
                   iterations: int = RunConfig.iterations) -> list[RunConfig]:
     """Expand a preset name into its labeled run configurations."""
     if name not in PRESETS:
@@ -59,5 +58,5 @@ def expand_preset(name: str, seed: int = 1, realizations: int = RunConfig.realiz
                           f"got {iterations}")
     env = EnvSpec(flip_iteration=iterations // 2 if flip else None)
     return [RunConfig(TopologySpec(), env, policy, iterations=iterations,
-                      realizations=realizations, seed=seed, out_dir=out_dir, label=label)
+                      realizations=realizations, seed=seed, label=label)
             for label, policy in variants]

@@ -34,6 +34,12 @@ class TestBetaAdmissible:
         with pytest.raises(ValueError):
             beta_admissible(0.0, 0.4)
 
+    @pytest.mark.parametrize("beta, sigma2_max", [(math.inf, 0.4), (math.nan, 0.4),
+                                                  (0.68, math.inf), (0.68, math.nan)])
+    def test_rejects_non_finite(self, beta, sigma2_max):
+        with pytest.raises(ValueError, match="finite"):
+            beta_admissible(beta, sigma2_max)
+
 
 class TestThetaBounds:
     def test_default_values(self):
@@ -63,6 +69,14 @@ class TestThetaBounds:
         with pytest.raises(ValueError):
             theta_bounds(0.3, 0.1, 0.4)
 
+    @pytest.mark.parametrize("args", [(math.inf, 0.1, 0.4), (math.nan, 0.1, 0.4),
+                                      (0.68, math.nan, 0.4), (0.68, 0.1, math.inf),
+                                      (math.inf, math.inf, math.inf)])
+    def test_rejects_non_finite(self, args):
+        # beta = inf once gave zero bounds and an infinite theta_bar
+        with pytest.raises(ValueError):
+            theta_bounds(*args)
+
     def test_all_at_least_one(self):
         for beta in (0.4, 0.5, 0.9, 2.0, 4.0):
             vals = theta_bounds(beta, 0.1, 0.4)
@@ -82,6 +96,18 @@ class TestSampledNodeBounds:
     def test_boundary_upper_equals_v(self):
         _, hi = sampled_node_bounds(20, 0.4, 0.1, 0.4)
         assert hi == 20.0
+
+    @pytest.mark.parametrize("V", [0, -5])
+    def test_rejects_fewer_than_one_node(self, V):
+        # V = -5 once gave the negative bounds -0.7353 and -2.9412
+        with pytest.raises(ValueError, match="V must be >= 1"):
+            sampled_node_bounds(V, 0.68, 0.1, 0.4)
+
+    @pytest.mark.parametrize("args", [(-5, 0.68, 0.1, 0.4), (0, 0.68, 0.1, 0.4),
+                                      (20, math.inf, 0.1, 0.4), (20, 0.68, math.nan, 0.4)])
+    def test_predict_rejects_impossible_inputs(self, args):
+        with pytest.raises(ValueError):
+            predict(*args)
 
     def test_monotone_decreasing_in_beta(self):
         betas = [0.4, 0.5, 0.68, 1.0, 2.0, 4.0]

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import runpy
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -334,6 +335,17 @@ class TestCli:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("V, beta, s_min, s_max", [
+        ("-5", "0.68", "0.1", "0.4"), ("0", "0.68", "0.1", "0.4"), ("20", "inf", "0.1", "0.4"),
+        ("20", "nan", "0.1", "0.4"), ("20", "0.68", "nan", "0.4"), ("20", "inf", "inf", "inf")])
+    def test_predict_impossible_inputs(self, capsys, V, beta, s_min, s_max):
+        rc = main(["predict", "--V", V, "--beta", beta, "--sigma2-min", s_min,
+                   "--sigma2-max", s_max])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_preset_tiny_censoring(self, tmp_path):
         out = tmp_path / "figs"
         rc = main(["preset", "fig_censoring", "--seed", "3", "--realizations", "1",
@@ -610,6 +622,30 @@ class TestCli:
         assert len(calls) == 2
         assert main(["validate", "--config", str(path)]) == 0
         assert len(calls) == 3
+
+    def test_pinned_topology_runs_like_its_seed(self, tmp_path, monkeypatch, capsys):
+        # scripts/pin_topology.py --seed S pins the graph that run.seed = S
+        # builds, so a run on the pinned file writes the same CSV bytes
+        edges = tmp_path / "graph.edges"
+        script = Path(__file__).resolve().parents[1] / "scripts" / "pin_topology.py"
+        monkeypatch.setattr("sys.argv", [str(script), "--V", "20", "--radius", "0.35",
+                                         "--seed", "3", "--out", str(edges)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exc.value.code == 0
+        common = ("env.M = 10\npolicy.kind = as_censoring\npolicy.beta = 0.68\n"
+                  "policy.mu_s = 0.1571\nrun.iterations = 300\nrun.realizations = 2\n"
+                  "run.seed = 3\n")
+        csvs = []
+        for name, topology in [
+                ("random", "topology.kind = random_geometric\ntopology.V = 20\n"
+                           "topology.radius = 0.35\n"),
+                ("pinned", f"topology.kind = edge_list\ntopology.edge_list = {edges}\n")]:
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(topology + common)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            csvs.append((tmp_path / name / "as_censoring.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_run_checks_profiles_against_the_loaded_edge_list(self, tmp_path, capsys):
         edges = tmp_path / "ring.edges"

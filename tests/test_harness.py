@@ -272,6 +272,23 @@ class TestCostAccounting:
         assert np.all(series.mults == expected)
 
 
+def observed(cfg, realizations, mat, policies=None):
+    """A batch's series, and the n and a copy of the weight errors of each ``observe`` call."""
+    calls = []
+    series = run_batch(cfg, realizations, mat, policies=policies,
+                       observe=lambda n, W: calls.append((n, W.copy())))
+    return series, [n for n, _ in calls], np.array([W for _, W in calls])
+
+
+def observed_run(cfg, realization, mat):
+    """One realization's series and its (T, V, M) estimates: the round keeps
+    the weight errors, so an estimate is W + w_opt before the flip and
+    W - w_opt from it on."""
+    series, ns, W = observed(cfg, [realization], mat)
+    sign = np.where(np.array(ns) < (cfg.env.flip_iteration or cfg.iterations), 1.0, -1.0)
+    return series.realization(0), W[:, 0] + sign[:, None, None] * mat.env.w_opt
+
+
 class TestEngineMatchesPerNodeReference:
     @pytest.mark.parametrize("kind", ["full", "as_sampling", "as_censoring", "random_sampling",
                                       "probabilistic_transmission", "non_cooperative"])
@@ -281,10 +298,10 @@ class TestEngineMatchesPerNodeReference:
         mat = materialize(cfg)
         W_ref, s_ref, alpha_ref, comms_ref = reference_run(cfg, 0, mat)
 
-        series = run_realization(cfg, 0, mat, record_states=True)
+        series, states = observed_run(cfg, 0, mat)
         assert np.array_equal(series.sampled_bitmap.astype(int), s_ref)
         assert np.array_equal(series.comms, comms_ref["link"])
-        assert series.states == pytest.approx(W_ref, rel=1e-8, abs=1e-12)
+        assert states == pytest.approx(W_ref, rel=1e-8, abs=1e-12)
 
         ref_msd = np.array([network_msd(W_ref[n], mat.env.w_opt) for n in range(120)])
         assert series.msd == pytest.approx(ref_msd, rel=1e-8, abs=1e-12)
@@ -357,10 +374,10 @@ def assert_matches_reference(cfg, realization=0, rel=1e-8, abs=1e-12):
     """The engine's trajectory, sampled nodes and comms against :func:`reference_run`."""
     mat = materialize(cfg)
     W_ref, s_ref, _, comms_ref = reference_run(cfg, realization, mat)
-    series = run_realization(cfg, realization, mat, record_states=True)
+    series, states = observed_run(cfg, realization, mat)
     assert np.array_equal(series.sampled_bitmap.astype(int), s_ref)
     assert np.array_equal(series.comms, comms_ref[cfg.comm_unit])
-    assert series.states == pytest.approx(W_ref, rel=rel, abs=abs)
+    assert states == pytest.approx(W_ref, rel=rel, abs=abs)
     flip = cfg.env.flip_iteration
     sign = np.where(np.arange(cfg.iterations) < (flip or cfg.iterations), 1.0, -1.0)
     ref_msd = np.array([network_msd(W, s * mat.env.w_opt) for W, s in zip(W_ref, sign)])
@@ -535,6 +552,40 @@ class TestWorkspace:
         p, trials = V_s / V, R * T
         freq = bits.reshape(trials, V).mean(axis=0)
         assert np.all(np.abs(freq - p) <= 6 * np.sqrt(p * (1 - p) / trials))
+
+
+class TestObserve:
+    """The ``observe`` hook sees each iteration's weight errors, row by row."""
+
+    def test_rows_of_a_mixed_batch_observe_their_single_runs(self):
+        cfg = make_config(V=6, M=4, iterations=BLOCK + 40, seed=9, flip=BLOCK // 2)
+        mat = materialize(cfg)
+        pols = [PolicyConfig(kind="full"), PolicyConfig(kind="as_sampling", beta=0.68, mu_s=2.0),
+                PolicyConfig(kind="as_censoring", beta=1.5, mu_s=1.0),
+                PolicyConfig(kind="random_sampling", V_s=3), PolicyConfig(kind="non_cooperative"),
+                PolicyConfig(kind="probabilistic_transmission", p=0.3),
+                PolicyConfig(kind="probabilistic_transmission", p=0.7),
+                PolicyConfig(kind="as_censoring", beta=0.68, mu_s=2.0)]
+        rs = [0, 1, 0, 2, 1, 0, 2, 1]
+        batch, _, W = observed(cfg, rs, mat, pols)
+        unobserved = run_batch(cfg, rs, mat, policies=pols)
+        for name in SERIES:  # observing changes nothing
+            assert np.array_equal(getattr(batch, name), getattr(unobserved, name)), name
+        for b, (pol, r) in enumerate(zip(pols, rs)):
+            _, _, W_single = observed(replace(cfg, policy=pol), [r], mat)
+            assert np.array_equal(W[:, b], W_single[:, 0]), (pol.kind, r)
+
+    @pytest.mark.parametrize("kinds", [["full"], ["as_censoring", "probabilistic_transmission"]])
+    def test_one_call_per_iteration_in_order(self, kinds):
+        # across block boundaries, with a flip at a block start
+        T = 2 * BLOCK + 5
+        cfg = make_config(V=6, M=4, iterations=T, seed=8, flip=BLOCK)
+        pols = [make_config(kind=k, V=6).policy for k in kinds]
+        series, ns, W = observed(cfg, [0] * len(kinds), materialize(cfg), pols)
+        assert ns == list(range(T))
+        # what it sees is the state the network MSD is taken from
+        msd = np.einsum("nbvm,nbvm->bn", W, W) / cfg.topology.V
+        assert msd == pytest.approx(series.msd, rel=1e-12, abs=0)
 
 
 class TestGroupedRows:
